@@ -122,6 +122,13 @@ func TestHealthzDegraded(t *testing.T) {
 	if code, body := scrape(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthy engine: /healthz = %d %q", code, body)
 	}
+	// Open's recovery summary: one gauge per phase.
+	_, mbody := scrape(t, srv, "/metrics")
+	for _, phase := range []string{"read_verify", "segment_load", "replay"} {
+		if want := `symmeter_storage_recovery_seconds{phase="` + phase + `"} `; !strings.Contains(mbody, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 
 	vals := make([]float64, 256)
 	for i := range vals {

@@ -22,9 +22,12 @@
 // segment footer — no payload is decoded), then the WAL replays through the
 // normal Append path with each meter's already-restored point count skipped,
 // rebuilding the live tails and any blocks that sealed after the last
-// finished segment. Anything torn at the very end of a WAL was never
-// acknowledged and is truncated; damage anywhere else fails recovery loudly
-// (ErrWALCorrupt) rather than silently dropping acknowledged data.
+// finished segment. A batch the segments fully cover is skipped from its
+// header without unpacking, so replay costs what the uncovered tail holds,
+// and shards — which never share a meter — verify and replay in parallel.
+// Anything torn at the very end of a WAL was never acknowledged and is
+// truncated; damage anywhere else fails recovery loudly (ErrWALCorrupt)
+// rather than silently dropping acknowledged data.
 //
 // Every filesystem operation goes through the FS seam (fs.go), and every
 // durability failure is classified by the health state machine (health.go):
@@ -33,12 +36,14 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,6 +103,13 @@ type RecoveryStats struct {
 	TornTails int
 	// Meters is the number of recovered meters.
 	Meters int
+	// ReadVerify, SegmentLoad and Replay time recovery's phases: reading,
+	// CRC-checking and torn-tail-truncating the logs and collecting their
+	// tables; mapping the manifest's segments and decoding their footers;
+	// and restoring the sealed chains and replaying the logs.
+	ReadVerify  time.Duration
+	SegmentLoad time.Duration
+	Replay      time.Duration
 }
 
 // meterMeta is the engine's per-meter ingest state (current epoch and symbol
@@ -216,6 +228,7 @@ func Open(opts Options) (*Engine, error) {
 		e.unwind()
 		return nil, err
 	}
+	e.registerRecoveryMetrics()
 	e.stop = make(chan struct{})
 	// The probe runs for the engine's lifetime (idle while Healthy) so a
 	// degrade never has to race a goroutine start against Close.
@@ -311,9 +324,13 @@ func (e *Engine) recover() error {
 
 	// 2. Load manifest segments: sealed chains per meter, in spill order
 	// (manifest order is per-shard finish order), plus per-meter skip
-	// counts for the replay.
-	perMeter := make(map[uint64][]server.SealedBlock)
-	skip := make(map[uint64]int64)
+	// counts for the replay. A block joins the shard its meter hashes to —
+	// the shard whose log replays that meter.
+	start := time.Now()
+	logs := make([]shardLog, shards)
+	for i := range logs {
+		logs[i].meters = make(map[uint64]*meterReplay)
+	}
 	for _, ms := range e.man.Segments {
 		if ms.Shard < 0 || ms.Shard >= shards {
 			return fmt.Errorf("storage: manifest segment %s claims shard %d of %d", ms.File, ms.Shard, shards)
@@ -325,25 +342,22 @@ func (e *Engine) recover() error {
 		e.trackMapping(mapping)
 		e.recovered.Segments++
 		for _, sb := range blocks {
-			perMeter[sb.meterID] = append(perMeter[sb.meterID], sb.blk)
-			skip[sb.meterID] += int64(sb.blk.N)
+			mr := logs[e.store.ShardFor(sb.meterID)].meter(sb.meterID)
+			mr.sealed = append(mr.sealed, sb.blk)
+			mr.skip += int64(sb.blk.N)
 			e.recovered.SegmentBlocks++
 			e.recovered.SegmentPoints += int64(sb.blk.N)
 		}
 	}
+	e.recovered.SegmentLoad = time.Since(start)
 
-	// 3. Read and parse every shard's WAL — all generations up to the
-	// manifest's, oldest first; a shard's record stream is their
-	// concatenation. Each file tolerates its own torn tail (truncated here);
-	// damage anywhere else is corruption. Collect each meter's table
-	// history (pass 1 — the segment restore needs tables up front).
-	type shardLog struct {
-		recs  []walRecord
-		valid int64 // current generation's intact byte length
-	}
-	logs := make([]shardLog, shards)
-	tables := make(map[uint64][]*symbolic.Table)
-	for i := 0; i < shards; i++ {
+	// 3. Read every shard's WAL — all generations up to the manifest's,
+	// oldest first; a shard's record stream is their concatenation — then
+	// verify the shards in parallel and truncate torn tails. The file
+	// operations run in shard order, so a fault schedule that fails the Nth
+	// one fails the same file on every run.
+	start = time.Now()
+	for i := range logs {
 		for g := uint64(0); g <= e.man.WALGen; g++ {
 			path := e.walGenPath(i, g)
 			raw, err := e.fs.ReadFile(path)
@@ -353,64 +367,26 @@ func (e *Engine) recover() error {
 			if err != nil {
 				return err
 			}
-			recs, valid, torn, err := parseWAL(raw)
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			if torn {
-				if err := e.fs.Truncate(path, valid); err != nil {
+			logs[i].files = append(logs[i].files, walFile{path: path, raw: raw, current: g == e.man.WALGen})
+		}
+	}
+	if err := forEachShard(shards, func(i int) error { return logs[i].verify(e.store, i) }); err != nil {
+		return err
+	}
+	for i := range logs {
+		for _, f := range logs[i].files {
+			if f.torn {
+				if err := e.fs.Truncate(f.path, f.valid); err != nil {
 					return err
 				}
 				e.recovered.TornTails++
 			}
-			logs[i].recs = append(logs[i].recs, recs...)
-			if g == e.man.WALGen {
-				logs[i].valid = valid
-			}
-			e.recovered.WALRecords += len(recs)
-			for _, rec := range recs {
-				typ, _, data, err := stripSeq(rec)
-				if err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-				if typ == recTable {
-					m, t, err := decodeTable(data)
-					if err != nil {
-						return fmt.Errorf("%s: %w", path, err)
-					}
-					tables[m] = append(tables[m], t)
-				}
-			}
 		}
+		e.recovered.WALRecords += len(logs[i].recs)
 	}
+	e.recovered.ReadVerify = time.Since(start)
 
-	// 4. Restore sealed chains. Only the tables the restored blocks
-	// reference are installed here; the replay pushes the rest in order.
-	installed := make(map[uint64]int, len(perMeter))
-	restoreOrder := make([]uint64, 0, len(perMeter))
-	for m := range perMeter {
-		restoreOrder = append(restoreOrder, m)
-	}
-	sort.Slice(restoreOrder, func(i, j int) bool { return restoreOrder[i] < restoreOrder[j] })
-	for _, m := range restoreOrder {
-		blks := perMeter[m]
-		maxEpoch := 0
-		for _, b := range blks {
-			if b.Epoch > maxEpoch {
-				maxEpoch = b.Epoch
-			}
-		}
-		tl := tables[m]
-		if len(tl) <= maxEpoch {
-			return fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, maxEpoch, len(tl))
-		}
-		if err := e.store.RestoreMeter(m, tl[:maxEpoch+1], blks); err != nil {
-			return err
-		}
-		installed[m] = maxEpoch + 1
-	}
-
-	// 5. Install the seal sink before replaying, so blocks that seal during
+	// 4. Install the seal sink before replaying, so blocks that seal during
 	// replay spill to fresh segments exactly as live ones do and recovery's
 	// resident memory stays bounded too.
 	e.segs = make([]*segmentWriter, shards)
@@ -419,84 +395,19 @@ func (e *Engine) recover() error {
 	}
 	e.store.SetSealSink(e)
 
-	// 6. Replay the logs through the normal ingest path, skipping the
-	// already-restored prefix of each meter. Sequenced records ('t'/'b')
-	// replay identically to their legacy twins and additionally advance the
-	// meter's sequence high-water mark — a seq is tracked even for batches
-	// the segment restore already covers, since those were committed too.
-	tseen := make(map[uint64]int)
-	maxSeq := make(map[uint64]uint64)
-	var ptsScratch []symbolic.SymbolPoint
-	var symScratch []symbolic.Symbol
-	for i := 0; i < shards; i++ {
-		for _, rec := range logs[i].recs {
-			typ, seq, data, err := stripSeq(rec)
-			if err != nil {
-				return fmt.Errorf("shard %d wal: %w", i, err)
-			}
-			switch typ {
-			case recTable:
-				m, t, err := decodeTable(data)
-				if err != nil {
-					return fmt.Errorf("shard %d wal: %w", i, err)
-				}
-				if seq > maxSeq[m] {
-					maxSeq[m] = seq
-				}
-				tseen[m]++
-				if tseen[m] > installed[m] {
-					if err := e.ensureMeter(m); err != nil {
-						return err
-					}
-					if err := e.store.PushTable(m, t); err != nil {
-						return replayErr(err)
-					}
-				}
-			case recBatch:
-				var br batchRecord
-				br, ptsScratch, symScratch, err = decodeBatch(data, ptsScratch, symScratch)
-				if err != nil {
-					return fmt.Errorf("shard %d wal: %w", i, err)
-				}
-				if seq > maxSeq[br.meterID] {
-					maxSeq[br.meterID] = seq
-				}
-				if int(br.epoch) != tseen[br.meterID]-1 {
-					return fmt.Errorf("%w: meter %d batch under epoch %d, log position implies %d", ErrWALCorrupt, br.meterID, br.epoch, tseen[br.meterID]-1)
-				}
-				if sk := skip[br.meterID]; sk > 0 {
-					n := int64(len(br.pts))
-					if sk >= n {
-						skip[br.meterID] = sk - n
-						e.recovered.SkippedPoints += n
-						continue
-					}
-					br.pts = br.pts[sk:]
-					skip[br.meterID] = 0
-					e.recovered.SkippedPoints += sk
-				}
-				if err := e.ensureMeter(br.meterID); err != nil {
-					return err
-				}
-				if _, err := e.store.Append(br.meterID, br.pts); err != nil {
-					return replayErr(err)
-				}
-				e.recovered.ReplayedPoints += int64(len(br.pts))
-			default:
-				return fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, rec.typ, i)
-			}
-		}
+	// 5. Restore and replay the shards in parallel; each touches only its
+	// own store shard, segment writer and meters.
+	start = time.Now()
+	if err := forEachShard(shards, func(i int) error { return e.replayShard(i, &logs[i]) }); err != nil {
+		return err
 	}
-	// Segments holding points the log no longer reaches means the WAL was
-	// damaged or swapped — refuse rather than serve a silently shorter tail.
-	for m, sk := range skip {
-		if sk > 0 {
-			return fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, sk)
-		}
+	for i := range logs {
+		e.recovered.ReplayedPoints += logs[i].replayed
+		e.recovered.SkippedPoints += logs[i].skipped
 	}
-	e.recovered.Meters = len(tables)
+	e.recovered.Replay = time.Since(start)
 
-	// 7. Open the current generation's logs for appending (older
+	// 6. Open the current generation's logs for appending (older
 	// generations stay closed — they are replay-only history).
 	e.wals = make([]atomic.Pointer[wal], shards)
 	for i := 0; i < shards; i++ {
@@ -507,12 +418,219 @@ func (e *Engine) recover() error {
 		e.wals[i].Store(newWAL(f, logs[i].valid))
 	}
 
-	// 8. Hand each recovered meter its ingest state for live sessions,
+	// 7. Hand each recovered meter its ingest state for live sessions,
 	// including the sequence high-water mark the next session's handshake
 	// ack will carry.
-	for m, tl := range tables {
-		if len(tl) > 0 {
-			e.meters.Store(m, &meterMeta{epoch: len(tl) - 1, level: tl[len(tl)-1].Level(), seq: maxSeq[m]})
+	for i := range logs {
+		for m, mr := range logs[i].meters {
+			if tl := mr.tables; len(tl) > 0 {
+				e.meters.Store(m, &meterMeta{epoch: len(tl) - 1, level: tl[len(tl)-1].Level(), seq: mr.seq})
+				e.recovered.Meters++
+			}
+		}
+	}
+	return nil
+}
+
+// shardLog is one shard's share of recovery. The store and the WAL
+// partition meters the same way, so no meter spans two shards: each shard's
+// log verifies and replays independently of every other's, and the results
+// merge afterwards.
+type shardLog struct {
+	files  []walFile
+	recs   []walRecord
+	valid  int64 // current generation's intact byte length
+	meters map[uint64]*meterReplay
+	// replayed and skipped are the shard's RecoveryStats.ReplayedPoints and
+	// SkippedPoints.
+	replayed, skipped int64
+}
+
+// walFile is one generation of a shard's log as read from disk.
+type walFile struct {
+	path    string
+	raw     []byte
+	current bool  // the manifest's generation: the one appends continue
+	valid   int64 // intact prefix length
+	torn    bool  // bytes past valid are a torn tail to truncate
+}
+
+// meterReplay is one meter's recovery state.
+type meterReplay struct {
+	tables    []*symbolic.Table    // every table the log holds, in push order
+	sealed    []server.SealedBlock // restored from segments, in spill order
+	skip      int64                // segment-covered points the replay has yet to pass
+	installed int                  // tables the segment restore installed
+	pushed    int                  // table records replayed so far: the epoch + 1
+	seq       uint64               // highest sequence number logged
+}
+
+func (sl *shardLog) meter(m uint64) *meterReplay {
+	mr := sl.meters[m]
+	if mr == nil {
+		mr = &meterReplay{}
+		sl.meters[m] = mr
+	}
+	return mr
+}
+
+// forEachShard runs fn for shards 0..n-1, at most GOMAXPROCS at a time,
+// and returns the lowest-numbered shard's error, so which error Open
+// reports does not depend on scheduling.
+func forEachShard(n int, fn func(shard int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range n {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verify parses the shard's log generations — each file tolerates its own
+// torn tail, damage anywhere else is corruption — and collects every
+// meter's table history, which the segment restore needs up front.
+func (sl *shardLog) verify(st *server.Store, shard int) error {
+	for fi := range sl.files {
+		f := &sl.files[fi]
+		recs, valid, torn, err := parseWAL(f.raw)
+		if err != nil {
+			return fmt.Errorf("%s: %w", f.path, err)
+		}
+		f.valid, f.torn = valid, torn
+		if f.current {
+			sl.valid = valid
+		}
+		sl.recs = append(sl.recs, recs...)
+		for _, rec := range recs {
+			typ, _, data, err := stripSeq(rec)
+			if err != nil {
+				return fmt.Errorf("%s: %w", f.path, err)
+			}
+			if typ != recTable {
+				continue
+			}
+			m, t, err := decodeTable(data)
+			if err != nil {
+				return fmt.Errorf("%s: %w", f.path, err)
+			}
+			// A meter logged in another shard's file means the files were
+			// swapped; replaying it here would race that shard's replay.
+			if st.ShardFor(m) != shard {
+				return fmt.Errorf("%w: %s holds a table for meter %d of shard %d", ErrWALCorrupt, f.path, m, st.ShardFor(m))
+			}
+			mr := sl.meter(m)
+			mr.tables = append(mr.tables, t)
+		}
+	}
+	return nil
+}
+
+// replayShard restores the shard's sealed chains, then replays its log
+// through the normal ingest path, skipping each meter's segment-covered
+// prefix. A batch the segments fully cover is handled from its header
+// alone — validated, its sequence number and epoch tracked, its points
+// counted as skipped — and never unpacked; only each meter's one partially
+// covered batch and the uncovered tail decode and append. Sequenced records
+// ('t'/'b') replay like their legacy twins and also advance the meter's
+// sequence high-water mark, skipped batches included: those were committed
+// too.
+func (e *Engine) replayShard(shard int, sl *shardLog) error {
+	// Only the tables the restored blocks reference are installed here; the
+	// replay pushes the rest in order.
+	restore := make([]uint64, 0, len(sl.meters))
+	for m, mr := range sl.meters {
+		if len(mr.sealed) > 0 {
+			restore = append(restore, m)
+		}
+	}
+	slices.Sort(restore)
+	for _, m := range restore {
+		mr := sl.meters[m]
+		maxEpoch := 0
+		for _, b := range mr.sealed {
+			maxEpoch = max(maxEpoch, b.Epoch)
+		}
+		if len(mr.tables) <= maxEpoch {
+			return fmt.Errorf("%w: meter %d segments reference epoch %d but the log holds %d tables", ErrWALCorrupt, m, maxEpoch, len(mr.tables))
+		}
+		if err := e.store.RestoreMeter(m, mr.tables[:maxEpoch+1], mr.sealed); err != nil {
+			return err
+		}
+		mr.installed = maxEpoch + 1
+	}
+
+	var ptsScratch []symbolic.SymbolPoint
+	var symScratch []symbolic.Symbol
+	for _, rec := range sl.recs {
+		typ, seq, data, err := stripSeq(rec)
+		if err != nil {
+			return fmt.Errorf("shard %d wal: %w", shard, err)
+		}
+		switch typ {
+		case recTable:
+			// verify decoded this record into the meter's table history.
+			m := binary.BigEndian.Uint64(data)
+			mr := sl.meters[m]
+			mr.seq = max(mr.seq, seq)
+			mr.pushed++
+			if mr.pushed > mr.installed {
+				if err := e.ensureMeter(m); err != nil {
+					return err
+				}
+				if err := e.store.PushTable(m, mr.tables[mr.pushed-1]); err != nil {
+					return replayErr(err)
+				}
+			}
+		case recBatch:
+			br, err := decodeBatchHeader(data)
+			if err != nil {
+				return fmt.Errorf("shard %d wal: %w", shard, err)
+			}
+			mr := sl.meter(br.meterID)
+			mr.seq = max(mr.seq, seq)
+			if int(br.epoch) != mr.pushed-1 {
+				return fmt.Errorf("%w: meter %d batch under epoch %d, log position implies %d", ErrWALCorrupt, br.meterID, br.epoch, mr.pushed-1)
+			}
+			if n := int64(br.count); mr.skip >= n {
+				mr.skip -= n
+				sl.skipped += n
+				continue
+			}
+			br, ptsScratch, symScratch, err = decodeBatch(data, ptsScratch, symScratch)
+			if err != nil {
+				return fmt.Errorf("shard %d wal: %w", shard, err)
+			}
+			pts := br.pts[mr.skip:]
+			sl.skipped += mr.skip
+			mr.skip = 0
+			if err := e.ensureMeter(br.meterID); err != nil {
+				return err
+			}
+			if _, err := e.store.Append(br.meterID, pts); err != nil {
+				return replayErr(err)
+			}
+			sl.replayed += int64(len(pts))
+		default:
+			return fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, rec.typ, shard)
+		}
+	}
+	// Segments holding points the log no longer reaches means the WAL was
+	// damaged or swapped — refuse rather than serve a silently shorter tail.
+	for m, mr := range sl.meters {
+		if mr.skip > 0 {
+			return fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
 		}
 	}
 	return nil

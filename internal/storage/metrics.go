@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"time"
+
 	"symmeter/internal/metrics"
 )
 
@@ -69,6 +71,26 @@ func (e *Engine) registerHealthMetrics() {
 	reg.CounterFunc("symmeter_storage_heals_total",
 		"Degraded-to-healthy round trips completed (WAL generation rotations).",
 		func() float64 { return float64(h.heals.Load()) })
+}
+
+// registerRecoveryMetrics exposes how long each phase of the recovery in
+// Open took. Called once from Open, after recovery succeeded; the values
+// never change afterwards.
+func (e *Engine) registerRecoveryMetrics() {
+	rs := e.recovered
+	for _, p := range []struct {
+		phase string
+		d     time.Duration
+	}{
+		{"read_verify", rs.ReadVerify},
+		{"segment_load", rs.SegmentLoad},
+		{"replay", rs.Replay},
+	} {
+		secs := p.d.Seconds()
+		e.met.reg.GaugeFunc("symmeter_storage_recovery_seconds",
+			"Wall time of each recovery phase in Open: read_verify (read, CRC-check and truncate the logs), segment_load (map segments, decode footers), replay (restore sealed chains, replay the logs).",
+			func() float64 { return secs }, metrics.Label{Key: "phase", Value: p.phase})
+	}
 }
 
 // Metrics returns the engine's registry — the one Options.Metrics supplied,

@@ -432,36 +432,61 @@ type batchRecord struct {
 	meterID uint64
 	epoch   uint32
 	level   int
-	pts     []symbolic.SymbolPoint
+	count   int
+	pts     []symbolic.SymbolPoint // nil until decodeBatch unpacks them
 }
 
-// decodeBatch parses a 'B' record payload, reusing the caller's point and
-// symbol scratch. Every field is bounds-checked: the payload is disk input.
-func decodeBatch(data []byte, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) (batchRecord, []symbolic.SymbolPoint, []symbolic.Symbol, error) {
+// batchHeaderLen is a 'B' payload's fixed header: meterID, epoch, level,
+// kind and count.
+const batchHeaderLen = 18
+
+// decodeBatchHeader validates a 'B' record payload — level, timestamp kind,
+// and a length that is exactly the timestamps and packed symbols the header
+// announces — without unpacking a symbol. It is all replay needs for a batch
+// the segments already cover. Every field is checked: the payload is disk
+// input.
+func decodeBatchHeader(data []byte) (batchRecord, error) {
 	var br batchRecord
-	if len(data) < 18 {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch record of %d bytes", ErrWALCorrupt, len(data))
+	if len(data) < batchHeaderLen {
+		return br, fmt.Errorf("%w: batch record of %d bytes", ErrWALCorrupt, len(data))
 	}
 	br.meterID = binary.BigEndian.Uint64(data[0:])
 	br.epoch = binary.BigEndian.Uint32(data[8:])
 	br.level = int(data[12])
 	kind := data[13]
-	count := int(binary.BigEndian.Uint32(data[14:]))
+	br.count = int(binary.BigEndian.Uint32(data[14:]))
 	if br.level < 1 || br.level > symbolic.MaxLevel {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch at level %d", ErrWALCorrupt, br.level)
+		return br, fmt.Errorf("%w: batch at level %d", ErrWALCorrupt, br.level)
 	}
 	if kind > 1 {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch timestamp kind %d", ErrWALCorrupt, kind)
+		return br, fmt.Errorf("%w: batch timestamp kind %d", ErrWALCorrupt, kind)
 	}
-	rest := data[18:]
-	tsBytes := 16
+	rest := len(data) - batchHeaderLen
+	if want := batchTimestampBytes(kind, br.count) + (br.count*br.level+7)/8; br.count < 1 || rest != want {
+		return br, fmt.Errorf("%w: batch of %d points with %d trailing bytes, want %d", ErrWALCorrupt, br.count, rest, want)
+	}
+	return br, nil
+}
+
+// batchTimestampBytes is the timestamp section's size: firstT and stride for
+// an arithmetic batch (kind 0), one int64 per point for an explicit one.
+func batchTimestampBytes(kind byte, count int) int {
 	if kind == 1 {
-		tsBytes = 8 * count
+		return 8 * count
 	}
-	packedBytes := (count*br.level + 7) / 8
-	if count < 1 || len(rest) != tsBytes+packedBytes {
-		return br, ptsScratch, symScratch, fmt.Errorf("%w: batch of %d points with %d trailing bytes, want %d", ErrWALCorrupt, count, len(rest), tsBytes+packedBytes)
+	return 16
+}
+
+// decodeBatch parses and unpacks a 'B' record payload, reusing the caller's
+// point and symbol scratch.
+func decodeBatch(data []byte, ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) (batchRecord, []symbolic.SymbolPoint, []symbolic.Symbol, error) {
+	br, err := decodeBatchHeader(data)
+	if err != nil {
+		return br, ptsScratch, symScratch, err
 	}
+	kind, count := data[13], br.count
+	rest := data[batchHeaderLen:]
+	tsBytes := batchTimestampBytes(kind, count)
 	symScratch = symbolic.AppendUnpackRange(symScratch[:0], rest[tsBytes:], br.level, 0, count)
 	if cap(ptsScratch) < count {
 		ptsScratch = make([]symbolic.SymbolPoint, count)

@@ -294,6 +294,11 @@ func UnmarshalTable(data []byte) (*Table, error) {
 	}
 	level := int(data[1])
 	method := Method(data[2])
+	// The level is untrusted (wire or disk): check it before any arithmetic,
+	// or 1<<level overflows the size check below.
+	if level < 1 || level > MaxLevel {
+		return nil, fmt.Errorf("symbolic: table level %d out of range [1,%d]", level, MaxLevel)
+	}
 	k := 1 << uint(level)
 	need := 3 + (2+k-1+k)*8
 	if len(data) != need {

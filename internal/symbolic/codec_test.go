@@ -202,3 +202,31 @@ func TestTableWireSizeMatchesMarshal(t *testing.T) {
 		}
 	}
 }
+
+// FuzzUnmarshalTable feeds arbitrary bytes to the table decoder that both
+// the wire decoder and WAL replay call. It must never panic, and a frame it
+// accepts must re-marshal to exactly the bytes it came from.
+func FuzzUnmarshalTable(f *testing.F) {
+	// A level-64 table: the 11-byte payload of a 16-byte 'T' wire frame.
+	// Unchecked, 1<<64 wraps the size arithmetic to match the frame and the
+	// second float read runs off its end.
+	level64 := []byte{'T', 64, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	f.Add(level64)
+	f.Add(append([]byte{'T', 0, 0, 0, byte(len(level64))}, level64...)) // the whole frame
+	f.Add([]byte{'T', 63, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{'T', 0, 0})
+	tab, err := Learn(MethodDistinctMedian, []float64{5, 100, 230, 1000, 2400, 7, 90}, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(MarshalTable(tab))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := UnmarshalTable(data)
+		if err != nil {
+			return
+		}
+		if re := MarshalTable(got); string(re) != string(data) {
+			t.Fatalf("accepted frame re-marshals differently:\n in  %x\n out %x", data, re)
+		}
+	})
+}

@@ -15,12 +15,14 @@ package symmeter
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
 	"symmeter/internal/benchref"
 	"symmeter/internal/dataset"
 	"symmeter/internal/experiments"
+	"symmeter/internal/loadgen"
 	"symmeter/internal/query"
 	"symmeter/internal/sax"
 	"symmeter/internal/server"
@@ -303,46 +305,70 @@ func BenchmarkLearnTableStreaming(b *testing.B) {
 }
 
 // BenchmarkTransportDay measures streaming one full 1 Hz day through the
-// sensor→server protocol in memory.
+// sensor→server protocol in memory: the day is symbolized, framed as one
+// 'U' table frame and 'D' batches of 96 symbols, and decoded back.
 func BenchmarkTransportDay(b *testing.B) {
 	day, table := benchSeries(b, 16)
 	b.SetBytes(int64(symbolic.RawSize(day.Len())))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		sensor, err := transport.NewSensor(&buf, table, 900, 96)
-		if err != nil {
-			b.Fatal(err)
-		}
+		enc := symbolic.NewEncoder(table, 900)
+		var syms []symbolic.Symbol
+		var firstT int64
 		for _, p := range day.Points {
-			if err := sensor.Push(p); err != nil {
+			sp, ok, err := enc.Push(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ok {
+				if len(syms) == 0 {
+					firstT = sp.T
+				}
+				syms = append(syms, sp.S)
+			}
+		}
+		if sp, ok := enc.Flush(); ok {
+			syms = append(syms, sp.S)
+		}
+		// The generated day is gap-free, so its windows are consecutive.
+		wire := transport.AppendSeqTableFrame(nil, 1, table)
+		for j := 0; j < len(syms); j += 96 {
+			var err error
+			wire, err = transport.AppendSeqSymbolFrame(wire, uint64(2+j/96), firstT+int64(j)*900, 900, syms[j:min(j+96, len(syms))])
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := sensor.Close(); err != nil {
-			b.Fatal(err)
+		dec := transport.NewDecoder(bytes.NewReader(wire))
+		got := 0
+		for {
+			ev, err := dec.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			got += len(ev.Points)
 		}
-		server := transport.NewServer(&buf)
-		if err := server.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
-		if len(server.Points) == 0 {
-			b.Fatal("no symbols delivered")
+		if got != len(syms) {
+			b.Fatalf("decoded %d symbols, want %d", got, len(syms))
 		}
 	}
 }
 
 // BenchmarkFleetIngest measures concurrent ingest through the aggregation
 // service: M meters learn their tables, connect over real TCP on loopback
-// and stream the first hour of a day at 1 Hz, all in parallel. The reported
-// sym/s is end-to-end fleet throughput (generation + encoding + wire +
-// sharded store), the trajectory metric for every future scaling PR.
+// and stream the first hour of a day at 1 Hz, all in parallel, each over
+// its own stop-and-wait exactly-once session. The reported sym/s is
+// end-to-end fleet throughput (generation + encoding + wire + sharded
+// store + acks).
 func BenchmarkFleetIngest(b *testing.B) {
 	for _, meters := range []int{1, 16, 128} {
 		b.Run(fmt.Sprintf("meters=%d", meters), func(b *testing.B) {
 			var symbols int64
 			for i := 0; i < b.N; i++ {
-				cfg := server.FleetConfig{
+				cfg := loadgen.FleetConfig{
 					Meters:        meters,
 					Days:          1,
 					SecondsPerDay: 3600,
@@ -355,7 +381,7 @@ func BenchmarkFleetIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rep, err := server.RunFleet(addr.String(), cfg)
+				rep, err := loadgen.Run(addr.String(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,9 +1,9 @@
 // Command serve demonstrates the §2 deployment story at fleet scale over
 // real TCP on localhost: a concurrent aggregation server listens with a
 // sharded packed block store, M simulated smart meters connect in parallel,
-// each handshakes with its meter ID, learns a lookup table from two days of
-// history, streams days of symbols (15-minute vertical segmentation by
-// default), and the server answers fleet-wide aggregates directly in the
+// each learns a lookup table from two days of history and streams days of
+// symbols (15-minute vertical segmentation by default) over its own
+// exactly-once session, and the server answers fleet-wide aggregates directly in the
 // compressed domain — count, mean, min, max and (optionally) the symbol
 // histogram over a queried time range — alongside the per-meter MAE
 // reconstruction check.
@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"symmeter/internal/loadgen"
 	"symmeter/internal/metrics"
 	"symmeter/internal/profiling"
 	"symmeter/internal/query"
@@ -108,7 +109,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	fleetCfg := server.FleetConfig{
+	fleetCfg := loadgen.FleetConfig{
 		Meters:        *meters,
 		Days:          *days,
 		SecondsPerDay: *seconds,
@@ -201,17 +202,17 @@ func run(args []string, out io.Writer) (err error) {
 	defer signal.Stop(sigCh)
 
 	start := time.Now()
-	fleetDone := make(chan *server.FleetReport, 1)
+	fleetDone := make(chan *loadgen.FleetReport, 1)
 	fleetErr := make(chan error, 1)
 	go func() {
-		rep, err := server.RunFleet(bound.String(), fleetCfg)
+		rep, err := loadgen.Run(bound.String(), fleetCfg)
 		if err != nil {
 			fleetErr <- err
 			return
 		}
 		fleetDone <- rep
 	}()
-	var rep *server.FleetReport
+	var rep *loadgen.FleetReport
 	select {
 	case rep = <-fleetDone:
 	case err := <-fleetErr:

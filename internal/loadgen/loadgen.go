@@ -1,14 +1,31 @@
-package server
+// Package loadgen drives a simulated smart-meter fleet against an
+// aggregation server over real TCP. Each meter learns its lookup table from
+// two days of synthetic history, then streams its live days as symbols
+// through its own exactly-once client.Session — table first, symbol
+// batches after, a fresh table whenever it relearns (the paper's §2
+// protocol) — while recording the true window averages, so Evaluate can
+// score the server's reconstruction.
+package loadgen
 
 import (
 	"fmt"
-	"net"
+	"math"
 	"sync"
 
 	"symmeter/internal/dataset"
+	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 	"symmeter/internal/timeseries"
-	"symmeter/internal/transport"
+	"symmeter/pkg/client"
+)
+
+const (
+	// batchSize is the most symbols one 'D' frame carries: a day of
+	// 15-minute windows.
+	batchSize = 96
+	// trainDays of history each meter learns its first table from, the
+	// paper's bootstrap.
+	trainDays = 2
 )
 
 // FleetConfig describes a simulated meter fleet.
@@ -17,9 +34,6 @@ type FleetConfig struct {
 	Meters int
 	// Days of live data each meter streams after its training days.
 	Days int
-	// TrainDays of history each meter learns its table from (default 2,
-	// the paper's bootstrap).
-	TrainDays int
 	// SecondsPerDay caps how much of each day is used, both for training
 	// and streaming (0 = the whole 86400-second day). Benchmarks use this
 	// to trade realism for wall-clock.
@@ -28,22 +42,17 @@ type FleetConfig struct {
 	Window int64
 	// K is the alphabet size (default 16).
 	K int
-	// BatchSize is symbols per 'S' frame (default 96).
-	BatchSize int
 	// Seed offsets each meter's synthetic generator; meter i uses Seed+i.
 	Seed int64
 	// RelearnPerDay rebuilds the table from each finished day and resends
-	// it mid-stream (the §2.2 adaptive path) — exercises 'T' updates under
-	// concurrent load.
+	// it mid-stream (the §2.2 adaptive path) — exercises table updates
+	// under concurrent load.
 	RelearnPerDay bool
 	// DisableGaps turns off the generator's missing-data simulation.
 	DisableGaps bool
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	if c.TrainDays <= 0 {
-		c.TrainDays = 2
-	}
 	if c.Days <= 0 {
 		c.Days = 1
 	}
@@ -53,15 +62,12 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.K <= 0 {
 		c.K = 16
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 96
-	}
 	return c
 }
 
 // ExpectedPointsPerMeter returns an upper bound on the symbols one meter
 // will stream under this config (after defaulting) — the right value for
-// Config.ReservePoints so every store commit lands in pre-allocated
+// server.Config.ReservePoints so every store commit lands in pre-allocated
 // capacity. Per day: one symbol per touched window (ceiling, plus one for
 // window/day misalignment) and one more for the partial-window flush a
 // daily table relearn forces. Gaps can only reduce the actual count.
@@ -91,10 +97,10 @@ type MeterReport struct {
 	MAE float64
 	// Err is the sensor-side failure, nil on success.
 	Err error
-	// Connected reports whether the meter's TCP dial succeeded — even a
-	// meter that later failed mid-stream produced a server-side session, so
-	// drivers waiting for sessions (Service.AwaitSessions) must count
-	// connected meters, not successful ones.
+	// Connected reports whether the meter's session handshake succeeded —
+	// even a meter that later failed mid-stream produced a server-side
+	// session, so callers waiting for sessions (Service.AwaitSessions) must
+	// count connected meters, not successful ones.
 	Connected bool
 
 	truth []timeseries.Point
@@ -107,43 +113,13 @@ type FleetReport struct {
 	Sent int
 }
 
-// truthTracker records per-window true averages by driving a parallel
-// symbolic.Encoder, so fleet ground truth inherits the sensor's window
-// alignment (and its out-of-order rejection) by construction instead of
-// re-implementing it.
-type truthTracker struct {
-	enc *symbolic.Encoder
-	out []timeseries.Point
-}
-
-func newTruthTracker(table *symbolic.Table, window int64) *truthTracker {
-	return &truthTracker{enc: symbolic.NewEncoder(table, window)}
-}
-
-func (tt *truthTracker) push(p timeseries.Point) error {
-	sp, avg, ok, err := tt.enc.PushWithValue(p)
-	if err != nil {
-		return err
-	}
-	if ok {
-		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
-	}
-	return nil
-}
-
-func (tt *truthTracker) flush() {
-	if sp, avg, ok := tt.enc.FlushWithValue(); ok {
-		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
-	}
-}
-
-// RunFleet dials addr once per meter and streams each meter's data over its
-// own TCP connection, all concurrently. It returns when every sensor has
-// closed its connection; drain the service before evaluating.
-func RunFleet(addr string, cfg FleetConfig) (*FleetReport, error) {
+// Run dials addr once per meter and streams each meter's data over its own
+// session, all concurrently. It returns when every session has closed; let
+// the service drain before evaluating.
+func Run(addr string, cfg FleetConfig) (*FleetReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Meters < 1 {
-		return nil, fmt.Errorf("server: fleet needs at least one meter, got %d", cfg.Meters)
+		return nil, fmt.Errorf("loadgen: fleet needs at least one meter, got %d", cfg.Meters)
 	}
 	rep := &FleetReport{Meters: make([]MeterReport, cfg.Meters)}
 	var wg sync.WaitGroup
@@ -185,12 +161,12 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 	gen := dataset.New(dataset.Config{
 		Seed:        cfg.Seed + seedOff,
 		Houses:      1,
-		Days:        cfg.TrainDays + cfg.Days,
+		Days:        trainDays + cfg.Days,
 		DisableGaps: cfg.DisableGaps,
 	})
 
 	var builder symbolic.TableBuilder
-	for d := 0; d < cfg.TrainDays; d++ {
+	for d := 0; d < trainDays; d++ {
 		for _, p := range dayPoints(gen, d, cfg.SecondsPerDay) {
 			builder.Push(p.V)
 		}
@@ -200,26 +176,23 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 		return fail(err)
 	}
 
-	conn, err := net.Dial("tcp", addr)
+	sess, err := client.DialSession(addr, id, client.SessionConfig{})
 	if err != nil {
 		return fail(err)
 	}
 	rep.Connected = true
-	defer conn.Close()
-	if err := transport.WriteHandshake(conn, id); err != nil {
-		return fail(err)
-	}
-	sensor, err := transport.NewSensor(conn, table, cfg.Window, cfg.BatchSize)
+	defer sess.Close()
+	sensor, err := newSensor(sess, table, cfg.Window)
 	if err != nil {
 		return fail(err)
 	}
 
 	truth := newTruthTracker(table, cfg.Window)
-	for d := cfg.TrainDays; d < cfg.TrainDays+cfg.Days; d++ {
+	for d := trainDays; d < trainDays+cfg.Days; d++ {
 		pts := dayPoints(gen, d, cfg.SecondsPerDay)
 		var dayVals []float64
 		for _, p := range pts {
-			if err := sensor.Push(p); err != nil {
+			if err := sensor.push(p); err != nil {
 				return fail(err)
 			}
 			if err := truth.push(p); err != nil {
@@ -230,20 +203,20 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 				dayVals = append(dayVals, p.V)
 			}
 		}
-		if cfg.RelearnPerDay && d < cfg.TrainDays+cfg.Days-1 && len(dayVals) > 0 {
+		if cfg.RelearnPerDay && d < trainDays+cfg.Days-1 && len(dayVals) > 0 {
 			next, err := symbolic.Learn(symbolic.MethodMedian, dayVals, cfg.K)
 			if err != nil {
 				return fail(err)
 			}
-			// UpdateTable flushes the encoder's partial window; mirror that
+			// updateTable flushes the encoder's partial window; mirror that
 			// in the ground truth so timestamps keep matching.
 			truth.flush()
-			if err := sensor.UpdateTable(next); err != nil {
+			if err := sensor.updateTable(next); err != nil {
 				return fail(err)
 			}
 		}
 	}
-	if err := sensor.Close(); err != nil {
+	if err := sensor.drain(); err != nil {
 		return fail(err)
 	}
 	truth.flush()
@@ -254,7 +227,7 @@ func runMeter(addr string, id uint64, seedOff int64, cfg FleetConfig) MeterRepor
 // Evaluate fills each MeterReport's server-side fields from the store:
 // symbol counts and the reconstruction MAE against the meter's true window
 // averages, matched by timestamp.
-func (r *FleetReport) Evaluate(store *Store) {
+func (r *FleetReport) Evaluate(store *server.Store) {
 	for i := range r.Meters {
 		m := &r.Meters[i]
 		st, ok := store.Snapshot(m.MeterID)
@@ -269,7 +242,7 @@ func (r *FleetReport) Evaluate(store *Store) {
 				j++
 			}
 			if j < len(st.Points) && st.Points[j].T == tp.T {
-				sum += abs(tp.V - st.Points[j].V)
+				sum += math.Abs(tp.V - st.Points[j].V)
 				m.Matched++
 				j++
 			}
@@ -280,9 +253,32 @@ func (r *FleetReport) Evaluate(store *Store) {
 	}
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
+// truthTracker records per-window true averages by driving a parallel
+// symbolic.Encoder, so fleet ground truth inherits the sensor's window
+// alignment (and its out-of-order rejection) by construction instead of
+// re-implementing it.
+type truthTracker struct {
+	enc *symbolic.Encoder
+	out []timeseries.Point
+}
+
+func newTruthTracker(table *symbolic.Table, window int64) *truthTracker {
+	return &truthTracker{enc: symbolic.NewEncoder(table, window)}
+}
+
+func (tt *truthTracker) push(p timeseries.Point) error {
+	sp, avg, ok, err := tt.enc.PushWithValue(p)
+	if err != nil {
+		return err
 	}
-	return v
+	if ok {
+		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
+	}
+	return nil
+}
+
+func (tt *truthTracker) flush() {
+	if sp, avg, ok := tt.enc.FlushWithValue(); ok {
+		tt.out = append(tt.out, timeseries.Point{T: sp.T, V: avg})
+	}
 }

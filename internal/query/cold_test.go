@@ -35,7 +35,13 @@ func coldFixture(t *testing.T) (*storage.Engine, *server.Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ing := range []server.Ingest{eng, mem} {
+	type loader interface {
+		StartSession(meterID uint64) error
+		EndSession(meterID uint64)
+		PushTable(meterID uint64, t *symbolic.Table) error
+		Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
+	}
+	for _, ing := range []loader{eng, mem} {
 		for m := uint64(1); m <= 4; m++ {
 			if err := ing.StartSession(m); err != nil {
 				t.Fatal(err)

@@ -1,0 +1,158 @@
+package server
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"symmeter/internal/symbolic"
+	"symmeter/internal/transport"
+)
+
+// fuzzIngestTable is the k=16 table the FuzzIngestConn seeds announce.
+func fuzzIngestTable() *symbolic.Table {
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = float64(i * 7919 % 4000)
+	}
+	table, err := symbolic.Learn(symbolic.MethodMedian, vals, 16)
+	if err != nil {
+		panic(err)
+	}
+	return table
+}
+
+// FuzzIngestConn feeds arbitrary bytes, after a valid sequenced handshake,
+// to handleConn against an in-memory Store, with the server's replies
+// crossing a net.Pipe. Whatever the
+// bytes, the server must not panic, the session must end, and the store
+// must hold exactly the symbols of the batches the server acknowledged.
+func FuzzIngestConn(f *testing.F) {
+	table := fuzzIngestTable()
+	syms := make([]symbolic.Symbol, 96)
+	for i := range syms {
+		syms[i] = table.Encode(float64(i * 41 % 4000))
+	}
+	valid := transport.AppendSeqTableFrame(nil, 1, table)
+	valid, err := transport.AppendSeqSymbolFrame(valid, 2, 900, 900, syms)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(valid, transport.FrameEnd, 0, 0, 0, 0))
+	// A longer session: a retransmitted batch, a mid-stream table and a
+	// second batch.
+	long := append([]byte(nil), valid...)
+	long = append(long, valid[len(transport.AppendSeqTableFrame(nil, 1, table)):]...)
+	long = transport.AppendSeqTableFrame(long, 3, table)
+	if long, err = transport.AppendSeqSymbolFrame(long, 4, 900*97, 900, syms[:7]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(long, transport.FrameEnd, 0, 0, 0, 0))
+	// A 'U' frame whose table claims level 64: once a remote crash in
+	// symbolic.UnmarshalTable.
+	level64 := []byte{transport.FrameSeqTable, 0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0, 1, 'T', 64}
+	f.Add(append(level64, make([]byte, 14)...))
+	// A 'D' frame cut short after its table.
+	f.Add(valid[:len(valid)-20])
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stored, acked := runIngestConn(t, data)
+		if stored != acked {
+			t.Fatalf("store holds %d symbols, the acked batches carry %d", stored, acked)
+		}
+	})
+}
+
+// scriptedConn is the server's end of a net.Pipe whose reads come from a
+// fixed byte stream instead: the session sees the client's bytes, then a
+// clean EOF, while its acks still cross the pipe to the client.
+type scriptedConn struct {
+	net.Conn
+	in io.Reader
+}
+
+func (c scriptedConn) Read(p []byte) (int, error) { return c.in.Read(p) }
+
+// runIngestConn runs one ingest connection carrying a sequenced handshake
+// followed by data through handleConn, and returns the symbols the store
+// holds afterwards and the symbols of the batches the server acknowledged.
+func runIngestConn(t *testing.T, data []byte) (stored, acked int) {
+	t.Helper()
+	svc := New(Config{Shards: 2})
+	serverEnd, clientEnd := net.Pipe()
+	ackCh := make(chan map[uint64]bool, 1)
+	go func() {
+		seqs := make(map[uint64]bool)
+		fr := transport.NewFrameReader(clientEnd)
+		for first := true; ; first = false {
+			typ, payload, err := fr.Next()
+			if err != nil {
+				break
+			}
+			// The first ack is the handshake reply, not a commit.
+			if seq, err := transport.DecodeAck(payload); typ == transport.FrameAck && err == nil && !first {
+				seqs[seq] = true
+			}
+		}
+		ackCh <- seqs
+	}()
+	var stream bytes.Buffer
+	if err := transport.WriteHandshake(&stream, 9); err != nil {
+		t.Fatal(err)
+	}
+	stream.Write(data)
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		svc.handleConn(scriptedConn{Conn: serverEnd, in: &stream}, false)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session did not end")
+	}
+	// handleConn closed its end, so the ack reader has seen every ack.
+	return svc.Store().TotalSymbols(), ackedSymbols(data, <-ackCh)
+}
+
+// ackedSymbols replays the session's commit rule over the client's bytes:
+// frames commit in sequence order, a duplicate seq commits nothing, and the
+// session ends at the first frame it does not acknowledge. It returns the
+// number of symbols in the committed batches.
+func ackedSymbols(data []byte, acked map[uint64]bool) int {
+	dec := transport.NewDecoder(bytes.NewReader(data))
+	var hwm uint64
+	n := 0
+	for {
+		ev, err := dec.Next()
+		if err != nil || ev.Type == transport.FrameEnd {
+			return n
+		}
+		if ev.Seq <= hwm {
+			continue
+		}
+		if ev.Seq != hwm+1 || !acked[ev.Seq] {
+			return n
+		}
+		hwm++
+		n += len(ev.Points)
+	}
+}
+
+// TestIngestConnValidStreamCommits pins the FuzzIngestConn harness on a
+// well-formed stream, so the fuzz invariant cannot hold vacuously: the
+// batch is acked and stored.
+func TestIngestConnValidStreamCommits(t *testing.T) {
+	table := fuzzIngestTable()
+	data := transport.AppendSeqTableFrame(nil, 1, table)
+	data, err := transport.AppendSeqSymbolFrame(data, 2, 60, 60, []symbolic.Symbol{table.Encode(1), table.Encode(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, acked := runIngestConn(t, append(data, transport.FrameEnd, 0, 0, 0, 0))
+	if stored != 2 || acked != 2 {
+		t.Fatalf("stored %d, acked %d symbols; want 2 and 2", stored, acked)
+	}
+}

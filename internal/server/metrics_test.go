@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"symmeter/internal/metrics"
+	"symmeter/internal/symbolic"
+	"symmeter/pkg/client"
 )
 
 // TestStatsRegistryBacked proves the Stats snapshot and the /metrics
-// exposition read the same counters: after real fleet traffic, every Stats
+// exposition read the same counters: after real session traffic, every Stats
 // field must appear in the registry scrape with the identical value.
 func TestStatsRegistryBacked(t *testing.T) {
 	reg := metrics.New()
@@ -21,13 +23,28 @@ func TestStatsRegistryBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	rep, err := RunFleet(addr.String(), FleetConfig{
-		Meters: 3, Days: 1, SecondsPerDay: 600, Window: 60, Seed: 1, DisableGaps: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	table := testTable(t)
+	syms := make([]symbolic.Symbol, 10)
+	for i := range syms {
+		syms[i] = table.Encode(float64(i * 90))
 	}
-	if !svc.AwaitSessions(int64(len(rep.Meters)), 10*time.Second) {
+	const meters = 3
+	for m := uint64(1); m <= meters; m++ {
+		sess, err := client.DialSession(addr.String(), m, client.SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.PushTable(table); err != nil {
+			t.Fatal(err)
+		}
+		for b := int64(0); b < 3; b++ {
+			if err := sess.Append(b*600, 60, syms); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess.Close()
+	}
+	if !svc.AwaitSessions(meters, 10*time.Second) {
 		t.Fatal("sessions did not settle")
 	}
 
@@ -56,7 +73,7 @@ func TestStatsRegistryBacked(t *testing.T) {
 		}
 	}
 	if st.Sessions != 3 || st.Symbols == 0 || st.BytesIn == 0 {
-		t.Fatalf("implausible stats after fleet run: %+v", st)
+		t.Fatalf("implausible stats after session traffic: %+v", st)
 	}
 	// Batch commits were timed: count equals committed batches (>0), and the
 	// summary carries P² quantile samples for them.

@@ -212,7 +212,7 @@ func TestQueryUnknownFrameKillsSession(t *testing.T) {
 	if err := readResponse(t, fr, &res); err != nil || res.ID != 1 {
 		t.Fatalf("first response: id=%d err=%v", res.ID, err)
 	}
-	writeRawFrame(t, conn, transport.FrameTable, 0, nil)
+	writeRawFrame(t, conn, transport.FrameSeqTable, 0, nil)
 	waitSessionErr(t, svc, transport.ErrUnknownFrame)
 	expectClosed(t, conn)
 }

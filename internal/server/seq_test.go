@@ -1,12 +1,11 @@
 // Sequenced-session protocol tests: the acknowledged, exactly-once decode
-// loop negotiated by FlagSequenced, the overload admission gate, graceful
+// loop every ingest session runs, the overload admission gate, graceful
 // drain, half-closed peers, and the write-deadline reaping of consumers
 // that stop reading. These drive raw frames over real TCP (or net.Pipe
 // where the test needs a peer whose reads it fully controls).
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -21,28 +20,26 @@ import (
 
 // seqTableFrame builds a 'U' frame: a table push under seq.
 func seqTableFrame(seq uint64, table *symbolic.Table) []byte {
-	body := symbolic.MarshalTable(table)
-	frame := make([]byte, 13, 13+len(body))
-	frame[0] = transport.FrameSeqTable
-	binary.BigEndian.PutUint32(frame[1:5], uint32(8+len(body)))
-	binary.BigEndian.PutUint64(frame[5:13], seq)
-	return append(frame, body...)
+	return transport.AppendSeqTableFrame(nil, seq, table)
 }
 
 // seqBatchFrame builds a 'D' frame: symbols at firstT + i*window under seq.
 func seqBatchFrame(t *testing.T, seq uint64, firstT, window int64, symbols []symbolic.Symbol) []byte {
 	t.Helper()
-	frame := make([]byte, 29)
-	frame[0] = transport.FrameSeqSymbol
-	binary.BigEndian.PutUint64(frame[5:13], seq)
-	binary.BigEndian.PutUint64(frame[13:21], uint64(firstT))
-	binary.BigEndian.PutUint64(frame[21:29], uint64(window))
-	frame, err := symbolic.AppendPack(frame, symbols)
+	frame, err := transport.AppendSeqSymbolFrame(nil, seq, firstT, window, symbols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
 	return frame
+}
+
+// sendAcked writes one sequenced frame and requires the ack for seq.
+func sendAcked(t *testing.T, conn net.Conn, fr *transport.FrameReader, frame []byte, seq uint64) {
+	t.Helper()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	expectAck(t, fr, seq)
 }
 
 // expectAck reads the next frame and requires it to be an ack for want.
@@ -86,7 +83,7 @@ func expectRefusal(t *testing.T, fr *transport.FrameReader, wantSeq uint64, sent
 func sequencedDial(t *testing.T, addr string, meterID uint64) (net.Conn, *transport.FrameReader, uint64) {
 	t.Helper()
 	conn := rawConn(t, addr)
-	if err := transport.WriteHandshakeFlags(conn, meterID, transport.FlagSequenced); err != nil {
+	if err := transport.WriteHandshake(conn, meterID); err != nil {
 		t.Fatal(err)
 	}
 	fr := transport.NewFrameReader(conn)
@@ -206,7 +203,7 @@ func TestSequencedGapTearsDown(t *testing.T) {
 	}
 }
 
-// refuseOnceIngest wraps the store's SequencedIngest and refuses the first
+// refuseOnceIngest wraps the store's Ingest and refuses the first
 // AppendSeq with a typed overload — the per-batch retryable refusal path.
 type refuseOnceIngest struct {
 	*Store
@@ -334,20 +331,7 @@ func TestHalfClosedConnReapedAndMeterFreed(t *testing.T) {
 	svc, addr := startService(t, 2)
 	const meter uint64 = 13
 
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, meter); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(meter); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	conn, _, _ := sequencedDial(t, addr, meter)
 	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +374,7 @@ func TestWriteDeadlineReapsSlowConsumer(t *testing.T) {
 		close(done)
 	}()
 
-	if err := transport.WriteHandshakeFlags(clientEnd, 2, transport.FlagSequenced); err != nil {
+	if err := transport.WriteHandshake(clientEnd, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Never read: the handshake ack cannot be delivered.

@@ -75,27 +75,20 @@ const defaultWriteTimeout = 30 * time.Second
 // the config leaves QueryConcurrency zero.
 const defaultQueryConcurrency = 4
 
-// Ingest is the write interface a session drives. A plain *Store implements
-// it (the in-memory default); a durability layer wraps the store so every
-// table and batch hits a write-ahead log before it commits (see
+// Ingest is the exactly-once write interface a session drives. A plain
+// *Store implements it (the in-memory default, high-water mark in memory);
+// a durability layer wraps the store so every table and batch hits a
+// write-ahead log before it commits and the mark survives restarts (see
 // internal/storage), without the session loop knowing either way.
+//
+// Sequence numbers are dense and per-meter: seq == LastSeq+1 commits and
+// advances the high-water mark, seq <= LastSeq is a duplicate from a
+// retransmit after a lost ack — suppressed without writing, dup=true, still
+// acked — and anything further ahead is ErrSeqGap.
 type Ingest interface {
 	StartSession(meterID uint64) error
 	EndSession(meterID uint64)
-	PushTable(meterID uint64, t *symbolic.Table) error
-	Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
 	Reserve(meterID uint64, n int) error
-}
-
-// SequencedIngest extends Ingest with the exactly-once batch contract a
-// sequenced (FlagSequenced) session drives. Sequence numbers are dense and
-// per-meter: seq == LastSeq+1 commits and advances the high-water mark,
-// seq <= LastSeq is a duplicate from a retransmit after a lost ack —
-// suppressed without writing, dup=true, still acked — and anything further
-// ahead is ErrSeqGap. Both *Store (in-memory mark) and the storage engine
-// (mark persisted through the WAL, restored by recovery) implement it.
-type SequencedIngest interface {
-	Ingest
 	LastSeq(meterID uint64) uint64
 	PushTableSeq(meterID uint64, seq uint64, t *symbolic.Table) (dup bool, err error)
 	AppendSeq(meterID uint64, seq uint64, pts []symbolic.SymbolPoint) (n int, dup bool, err error)
@@ -130,10 +123,11 @@ type Stats struct {
 	AcceptRetries int64
 	// DegradedSessions counts ingest sessions refused (or torn down)
 	// because the durability layer was degraded; each one was answered
-	// with a VerdictDegraded frame before the connection closed.
+	// with a VerdictDegraded frame before the connection closed. Batches a
+	// live session had refused while degraded are not counted here.
 	DegradedSessions int64
-	// SequencedSessions counts ingest sessions that negotiated the
-	// sequenced, acknowledged protocol.
+	// SequencedSessions counts ingest sessions whose handshake was
+	// accepted and acknowledged.
 	SequencedSessions int64
 	// OverloadRefusals counts batches refused by the per-shard ingest
 	// admission gate; each was answered with VerdictOverloaded.
@@ -321,6 +315,8 @@ func (s *Service) writeFrame(conn net.Conn, frame []byte) error {
 // 0 for errors with no typed verdict (protocol violations, disconnects).
 func ingestVerdictCode(err error) byte {
 	switch {
+	case errors.Is(err, transport.ErrVersionMismatch):
+		return transport.QErrVersion
 	case errors.Is(err, ErrDegraded):
 		return transport.VerdictDegraded
 	case errors.Is(err, ErrOverloaded):
@@ -466,9 +462,10 @@ func (s *Service) handleConn(conn net.Conn, queryOnly bool) {
 	if err != nil {
 		if code := ingestVerdictCode(err); code != 0 {
 			// The parting 'X' frame: tell the sensor *why* its stream ended —
-			// degraded storage, overload, drain, or a busy meter — all typed
-			// and retryable, before the connection closes. Best effort — a
-			// peer that already hung up just misses the hint.
+			// degraded storage, overload, drain or a busy meter (typed and
+			// retryable), or a handshake version this server does not speak —
+			// before the connection closes. Best effort — a peer that
+			// already hung up just misses the hint.
 			if code == transport.VerdictDegraded {
 				s.met.degradedSessions.Inc()
 			}

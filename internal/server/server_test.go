@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"symmeter/internal/timeseries"
+	"symmeter/internal/symbolic"
 	"symmeter/internal/transport"
 )
 
@@ -38,101 +38,6 @@ func waitSessionErr(t *testing.T, svc *Service, target error) error {
 	}
 	t.Fatalf("no session error matching %v; have %v", target, svc.SessionErrors())
 	return nil
-}
-
-// TestFleet64ConcurrentMeters drives 64 simultaneous sensors over real TCP
-// — the concurrency acceptance test; run under -race.
-func TestFleet64ConcurrentMeters(t *testing.T) {
-	const meters = 64
-	svc, addr := startService(t, 8)
-	rep, err := RunFleet(addr, FleetConfig{
-		Meters:        meters,
-		Days:          1,
-		SecondsPerDay: 600,
-		Window:        60,
-		Seed:          1,
-		DisableGaps:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AwaitSessions(meters, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
-
-	if errs := svc.SessionErrors(); len(errs) != 0 {
-		t.Fatalf("session errors: %v", errs)
-	}
-	if got := len(svc.Store().Meters()); got != meters {
-		t.Fatalf("store meters = %d, want %d", got, meters)
-	}
-	wantSymbols := 600 / 60 // gap-free prefix → one symbol per full window
-	for _, m := range rep.Meters {
-		if m.Err != nil {
-			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
-		}
-		if m.Sent != 600 {
-			t.Fatalf("meter %d sent %d, want 600", m.MeterID, m.Sent)
-		}
-		if m.Symbols != wantSymbols {
-			t.Fatalf("meter %d symbols = %d, want %d", m.MeterID, m.Symbols, wantSymbols)
-		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d symbols against truth", m.MeterID, m.Matched, m.Symbols)
-		}
-		if m.MAE < 0 {
-			t.Fatalf("meter %d MAE = %v", m.MeterID, m.MAE)
-		}
-	}
-	st := svc.Stats()
-	if st.Symbols != int64(meters*wantSymbols) {
-		t.Fatalf("service symbols = %d, want %d", st.Symbols, meters*wantSymbols)
-	}
-	if st.Sessions != meters || st.Active != 0 {
-		t.Fatalf("sessions = %d active = %d", st.Sessions, st.Active)
-	}
-	if st.BytesIn == 0 {
-		t.Fatal("no bytes counted on the wire")
-	}
-}
-
-// TestFleetRelearnMidStream exercises concurrent mid-stream UpdateTable
-// ('T' frames between symbol batches) across overlapping sessions.
-func TestFleetRelearnMidStream(t *testing.T) {
-	svc, addr := startService(t, 4)
-	rep, err := RunFleet(addr, FleetConfig{
-		Meters:        8,
-		Days:          3,
-		SecondsPerDay: 600,
-		Window:        60,
-		Seed:          3,
-		RelearnPerDay: true,
-		DisableGaps:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AwaitSessions(8, 10*time.Second)
-	svc.Drain()
-	rep.Evaluate(svc.Store())
-	if errs := svc.SessionErrors(); len(errs) != 0 {
-		t.Fatalf("session errors: %v", errs)
-	}
-	for _, m := range rep.Meters {
-		if m.Err != nil {
-			t.Fatalf("meter %d: %v", m.MeterID, m.Err)
-		}
-		st, ok := svc.Store().Snapshot(m.MeterID)
-		if !ok {
-			t.Fatalf("meter %d missing from store", m.MeterID)
-		}
-		if len(st.Tables) != 3 { // initial + one relearn per non-final day
-			t.Fatalf("meter %d tables = %d, want 3", m.MeterID, len(st.Tables))
-		}
-		if m.Matched != m.Symbols {
-			t.Fatalf("meter %d matched %d of %d", m.MeterID, m.Matched, m.Symbols)
-		}
-	}
 }
 
 // rawConn dials and returns a connection for hand-crafted frames.
@@ -175,15 +80,29 @@ func expectClosed(t *testing.T, conn net.Conn) {
 	}
 }
 
+// TestVersionMismatchRejected: a handshake this server cannot honour — a
+// future version, the retired one-way v1 shape, or a v2 handshake without
+// FlagSequenced — is answered with a parting QErrVersion verdict, and no
+// meter session is registered.
 func TestVersionMismatchRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
-	conn := rawConn(t, addr)
-	payload := make([]byte, 9)
-	payload[0] = 99 // future protocol version
-	binary.BigEndian.PutUint64(payload[1:], 1)
-	writeRawFrame(t, conn, transport.FrameHandshake, 9, payload)
+	for i, payload := range [][]byte{
+		{99, 0, 0, 0, 0, 0, 0, 0, 1},                           // future version, v1 shape
+		{1, 0, 0, 0, 0, 0, 0, 0, 2},                            // v1: version | meterID
+		{transport.ProtocolVersion, 0, 0, 0, 0, 0, 0, 0, 0, 3}, // v2 without FlagSequenced
+	} {
+		conn := rawConn(t, addr)
+		writeRawFrame(t, conn, transport.FrameHandshake, uint32(len(payload)), payload)
+		expectRefusal(t, transport.NewFrameReader(conn), 0, transport.ErrVersionMismatch)
+		expectClosed(t, conn)
+		if _, ok := svc.Store().Snapshot(uint64(i + 1)); ok {
+			t.Fatalf("refused handshake %d registered meter %d", i, i+1)
+		}
+	}
 	waitSessionErr(t, svc, transport.ErrVersionMismatch)
-	expectClosed(t, conn)
+	if n := svc.Stats().SequencedSessions; n != 0 {
+		t.Fatalf("SequencedSessions = %d after refused handshakes, want 0", n)
+	}
 }
 
 func TestTruncatedHandshakeRejected(t *testing.T) {
@@ -209,34 +128,18 @@ func TestShortHandshakePayloadRejected(t *testing.T) {
 
 func TestOversizedFrameRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, 42); err != nil {
-		t.Fatal(err)
-	}
+	conn, _, _ := sequencedDial(t, addr, 42)
 	// Header claims a payload beyond MaxFrame; no bytes follow. The server
 	// must reject from the header alone rather than waiting for data.
-	writeRawFrame(t, conn, transport.FrameTable, transport.MaxFrame+1, nil)
+	writeRawFrame(t, conn, transport.FrameSeqTable, transport.MaxFrame+1, nil)
 	waitSessionErr(t, svc, transport.ErrFrameTooLarge)
 	expectClosed(t, conn)
 }
 
 func TestDuplicateMeterRejected(t *testing.T) {
 	svc, addr := startService(t, 2)
-	first := rawConn(t, addr)
-	if err := transport.WriteHandshake(first, 5); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the first session is registered before racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(5); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// The handshake ack proves the first session is registered.
+	first, fr, _ := sequencedDial(t, addr, 5)
 
 	second := rawConn(t, addr)
 	if err := transport.WriteHandshake(second, 5); err != nil {
@@ -247,8 +150,7 @@ func TestDuplicateMeterRejected(t *testing.T) {
 	// the client the meter has a live session (retryable after reap), then
 	// the connection closes.
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
-	fr := transport.NewFrameReader(second)
-	typ, payload, err := fr.Next()
+	typ, payload, err := transport.NewFrameReader(second).Next()
 	if err != nil || typ != transport.FrameQueryError {
 		t.Fatalf("parting frame: typ=%#x err=%v", typ, err)
 	}
@@ -261,18 +163,9 @@ func TestDuplicateMeterRejected(t *testing.T) {
 
 	// The original session is unaffected: it can still finish cleanly.
 	table := testTable(t)
-	sensor, err := transport.NewSensor(first, table, 60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 120; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sendAcked(t, first, fr, seqTableFrame(1, table), 1)
+	sendAcked(t, first, fr, seqBatchFrame(t, 2, 60, 60, []symbolic.Symbol{table.Encode(100), table.Encode(100)}), 2)
+	writeRawFrame(t, first, transport.FrameEnd, 0, nil)
 	first.Close()
 	svc.AwaitSessions(2, 10*time.Second)
 	svc.Drain()
@@ -291,22 +184,12 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 	table := testTable(t)
 
 	const victim uint64 = 7
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, victim); err != nil {
-		t.Fatal(err)
-	}
-	sensor, err := transport.NewSensor(conn, table, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One complete window commits one batch...
-	for i := int64(0); i < 70; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 250}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	conn, fr, _ := sequencedDial(t, addr, victim)
+	// A table and a one-symbol batch commit...
+	sendAcked(t, conn, fr, seqTableFrame(1, table), 1)
+	sendAcked(t, conn, fr, seqBatchFrame(t, 2, 60, 60, []symbolic.Symbol{table.Encode(250)}), 2)
 	// ...then a torn frame: a symbol header claiming 64 bytes, 4 delivered.
-	writeRawFrame(t, conn, transport.FrameSymbol, 64, []byte{0, 0, 0, 0})
+	writeRawFrame(t, conn, transport.FrameSeqSymbol, 64, []byte{0, 0, 0, 0})
 	conn.Close()
 	waitSessionErr(t, svc, io.ErrUnexpectedEOF)
 
@@ -322,29 +205,22 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 	for svc.Store().ShardFor(sameShard) != svc.Store().ShardFor(victim) {
 		sameShard++
 	}
+	syms := []symbolic.Symbol{table.Encode(500), table.Encode(500), table.Encode(500)}
 	for _, id := range []uint64{sameShard, victim} {
-		c := rawConn(t, addr)
-		if err := transport.WriteHandshake(c, id); err != nil {
-			t.Fatal(err)
+		c, cfr, hwm := sequencedDial(t, addr, id)
+		if hwm == 0 {
+			sendAcked(t, c, cfr, seqTableFrame(1, table), 1)
+			hwm = 1
 		}
-		s2, err := transport.NewSensor(c, table, 60, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := int64(0); i < 120; i++ {
-			if err := s2.Push(timeseries.Point{T: 1000 + i, V: 500}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s2.Close(); err != nil {
-			t.Fatal(err)
-		}
+		// The victim resumes after its committed mark without re-sending
+		// its table.
+		sendAcked(t, c, cfr, seqBatchFrame(t, hwm+1, 1020, 60, syms), hwm+1)
+		writeRawFrame(t, c, transport.FrameEnd, 0, nil)
 		c.Close()
 	}
 	svc.AwaitSessions(3, 10*time.Second)
 	svc.Drain()
-	// Points t=1000..1119 span windows [960,1020) [1020,1080) [1080,1140)
-	// → 3 symbols per clean session.
+	// 3 symbols per clean session.
 	st, _ = svc.Store().Snapshot(victim)
 	if len(st.Points) != 1+3 || st.Sessions != 2 {
 		t.Fatalf("victim after reconnect: %d points, %d sessions", len(st.Points), st.Sessions)
@@ -358,21 +234,8 @@ func TestAbruptDisconnectMidBatch(t *testing.T) {
 // connection that is sitting in a blocking read.
 func TestCloseInterruptsIdleSessions(t *testing.T) {
 	svc, addr := startService(t, 2)
-	conn := rawConn(t, addr)
-	if err := transport.WriteHandshake(conn, 11); err != nil {
-		t.Fatal(err)
-	}
-	// Give the session time to block in its frame read.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := svc.Store().Snapshot(11); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("session never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// After the handshake ack the session blocks in its frame read.
+	sequencedDial(t, addr, 11)
 	done := make(chan struct{})
 	go func() {
 		svc.Close()

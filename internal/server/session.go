@@ -41,11 +41,19 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 }
 
 // runSession drives one accepted ingest connection end to end: handshake,
-// meter registration, then the decode loop. The caller (handleConn) owns
-// buffering, byte counting and any idle deadline; r is the ready-to-read
-// stream (conn is only written to — acks in sequenced sessions). It returns
-// the number of symbols ingested and a nil error only for an orderly
+// meter registration, then the acknowledged, exactly-once decode loop. The
+// caller (handleConn) owns buffering, byte counting and any idle deadline;
+// r is the ready-to-read stream and conn is only written to. It returns the
+// number of symbols ingested and a nil error only for an orderly
 // 'E'-terminated stream.
+//
+// The handshake reply is an 'A' frame carrying the meter's committed
+// high-water mark (so a reconnecting client replays only unacked batches);
+// every committed or duplicate-suppressed frame is acked with its seq;
+// retryable refusals — degraded storage, overload — answer with a per-batch
+// 'X' frame (id = refused seq) and keep the session alive, so the client
+// backs off and resends the same seq. Only protocol violations (sequence
+// gaps, malformed frames) and transport failures tear the session down.
 //
 // Failure isolation is the point of the structure: every store write is a
 // single shard-locked call, so an error at any point — torn frame, abrupt
@@ -57,79 +65,22 @@ func (s *Service) runSession(conn net.Conn, r io.Reader) (symbols int64, err err
 	if err != nil {
 		return 0, err
 	}
+	meterID := hs.MeterID
 	if s.draining.Load() {
 		s.met.drainRefusals.Inc()
-		return 0, fmt.Errorf("%w: meter %d", ErrDraining, hs.MeterID)
+		return 0, fmt.Errorf("%w: meter %d", ErrDraining, meterID)
 	}
-	if err := s.ingest.StartSession(hs.MeterID); err != nil {
+	if err := s.ingest.StartSession(meterID); err != nil {
 		return 0, err
 	}
-	defer s.ingest.EndSession(hs.MeterID)
+	defer s.ingest.EndSession(meterID)
 	if s.reservePoints > 0 {
-		if err := s.ingest.Reserve(hs.MeterID, s.reservePoints); err != nil {
+		if err := s.ingest.Reserve(meterID, s.reservePoints); err != nil {
 			return 0, err
 		}
 	}
-	if hs.Sequenced() {
-		return s.runSequencedSession(conn, r, hs.MeterID)
-	}
-
-	dec := transport.NewDecoder(r)
-	dec.SetFrameMetrics(s.met.framesIn)
-	for {
-		ev, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			// The sensor always sends 'E' before closing; a bare EOF is an
-			// abrupt disconnect mid-stream.
-			return symbols, fmt.Errorf("server: meter %d disconnected without end frame: %w", hs.MeterID, io.ErrUnexpectedEOF)
-		}
-		if err != nil {
-			return symbols, fmt.Errorf("server: meter %d: %w", hs.MeterID, err)
-		}
-		switch ev.Type {
-		case transport.FrameTable:
-			if err := s.ingest.PushTable(hs.MeterID, ev.Table); err != nil {
-				return symbols, err
-			}
-		case transport.FrameSymbol:
-			cost := int64(len(ev.Points)) * pointWireCost
-			if err := s.acquireIngest(hs.MeterID, cost); err != nil {
-				// Legacy sessions have no per-batch refusal channel; the
-				// typed verdict goes out as the parting 'X' frame.
-				return symbols, err
-			}
-			start := time.Now()
-			n, err := s.ingest.Append(hs.MeterID, ev.Points)
-			s.met.ingestBatchLat.Since(start)
-			s.releaseIngest(hs.MeterID, cost)
-			if err != nil {
-				return symbols, err
-			}
-			symbols += int64(n)
-		case transport.FrameEnd:
-			return symbols, nil
-		case transport.FrameSeqTable, transport.FrameSeqSymbol:
-			return symbols, fmt.Errorf("server: meter %d: sequenced frame %#x on unsequenced session", hs.MeterID, ev.Type)
-		}
-	}
-}
-
-// runSequencedSession drives the acknowledged, exactly-once decode loop
-// negotiated by FlagSequenced. The handshake reply is an 'A' frame carrying
-// the meter's committed high-water mark (so a reconnecting client replays
-// only unacked batches); every committed or duplicate-suppressed frame is
-// acked with its seq; retryable refusals — degraded storage, overload —
-// answer with a per-batch 'X' frame (id = refused seq) and keep the session
-// alive, so the client backs off and resends the same seq. Only protocol
-// violations (sequence gaps, unsequenced frames) and transport failures
-// tear the session down.
-func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64) (symbols int64, err error) {
-	si, ok := s.ingest.(SequencedIngest)
-	if !ok {
-		return 0, fmt.Errorf("server: meter %d requested a sequenced session, ingest layer cannot sequence", meterID)
-	}
 	s.met.sequencedSessions.Inc()
-	hwm := si.LastSeq(meterID)
+	hwm := s.ingest.LastSeq(meterID)
 	if hwm > 0 {
 		s.met.reconnectReplays.Inc()
 	}
@@ -157,6 +108,8 @@ func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64
 	for {
 		ev, err := dec.Next()
 		if errors.Is(err, io.EOF) {
+			// The client always sends 'E' before closing; a bare EOF is an
+			// abrupt disconnect mid-stream.
 			return symbols, fmt.Errorf("server: meter %d disconnected without end frame: %w", meterID, io.ErrUnexpectedEOF)
 		}
 		if err != nil {
@@ -164,7 +117,7 @@ func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64
 		}
 		switch ev.Type {
 		case transport.FrameSeqTable:
-			dup, err := si.PushTableSeq(meterID, ev.Seq, ev.Table)
+			dup, err := s.ingest.PushTableSeq(meterID, ev.Seq, ev.Table)
 			if err != nil {
 				if retryableRefusal(err) {
 					if werr := refuse(ev.Seq, err); werr != nil {
@@ -189,7 +142,7 @@ func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64
 				continue
 			}
 			start := time.Now()
-			n, dup, err := si.AppendSeq(meterID, ev.Seq, ev.Points)
+			n, dup, err := s.ingest.AppendSeq(meterID, ev.Seq, ev.Points)
 			s.met.ingestBatchLat.Since(start)
 			s.releaseIngest(meterID, cost)
 			if err != nil {
@@ -213,8 +166,6 @@ func (s *Service) runSequencedSession(conn net.Conn, r io.Reader, meterID uint64
 			}
 		case transport.FrameEnd:
 			return symbols, nil
-		case transport.FrameTable, transport.FrameSymbol:
-			return symbols, fmt.Errorf("server: meter %d: unsequenced frame %#x on sequenced session", meterID, ev.Type)
 		}
 	}
 }

@@ -9,9 +9,8 @@
 // Decoder); this package owns connection lifecycle (Service), per-meter
 // decoding state (session) and the shared mutable state (Store — packed
 // block chains, see block.go; lock-free published read path, see index.go).
-// internal/query answers aggregates on top of the Store's Meter handles. A
-// Fleet driver simulates M meters streaming concurrently over real TCP for
-// load generation and benchmarks.
+// internal/query answers aggregates on top of the Store's Meter handles;
+// internal/loadgen drives a simulated fleet against a Service.
 package server
 
 import (

@@ -701,7 +701,7 @@ func (e *Engine) SealedBlock(meterID uint64, blk server.SealedBlock) ([]byte, er
 	return adopted, nil
 }
 
-// --- server.Ingest --------------------------------------------------------
+// --- sessions (server.Ingest) and unsequenced in-process writes ----------
 
 // ErrClosed reports writes after Close.
 var ErrClosed = errors.New("storage: engine closed")
@@ -790,7 +790,7 @@ func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
 	return e.store.Append(meterID, pts)
 }
 
-// --- server.SequencedIngest -----------------------------------------------
+// --- sequenced writes (server.Ingest) ------------------------------------
 
 // LastSeq reports the meter's committed sequence high-water mark — 0 when
 // the meter is unknown or all of its history predates sequencing. Called by

@@ -1,4 +1,4 @@
-// Sequenced-ingest durability tests: the engine's SequencedIngest
+// Sequenced-ingest durability tests: the engine's sequenced server.Ingest
 // implementation must make the per-meter high-water mark exactly as durable
 // as the batches it covers — recovery restores it from the replayed WAL, a
 // duplicate seq never commits twice (even across a crash), and a gap is a

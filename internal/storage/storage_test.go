@@ -48,9 +48,18 @@ func genBatch(meterID uint64, idx int, table *symbolic.Table) []symbolic.SymbolP
 	return pts
 }
 
+// plainIngest is the unsequenced write surface both *server.Store and
+// *Engine offer in-process loaders.
+type plainIngest interface {
+	StartSession(meterID uint64) error
+	EndSession(meterID uint64)
+	PushTable(meterID uint64, t *symbolic.Table) error
+	Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
+}
+
 // applyBatches drives ing with nBatches per meter, interleaved across
 // meters like concurrent sessions would.
-func applyBatches(t testing.TB, ing server.Ingest, table *symbolic.Table, meters []uint64, nBatches int) {
+func applyBatches(t testing.TB, ing plainIngest, table *symbolic.Table, meters []uint64, nBatches int) {
 	t.Helper()
 	for _, m := range meters {
 		if err := ing.StartSession(m); err != nil {

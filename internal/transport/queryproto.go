@@ -1,6 +1,6 @@
 // Query frame family: the request/response half of the wire protocol.
 //
-// The ingest frames ('H','T','S','E') let a meter talk *to* the server; the
+// The ingest frames ('H','U','D','A','E') let a meter talk *to* the server; the
 // frames here let any network peer ask questions *of* it — the paper's
 // aggregation server finally answers aggregate queries over the wire instead
 // of only in-process. Three frame types extend the same length-prefixed
@@ -126,18 +126,16 @@ var (
 // Error codes carried in 'X' frames.
 const (
 	QErrBadRequest   byte = 1 // malformed or unsupported request
-	QErrVersion      byte = 2 // query protocol version mismatch
+	QErrVersion      byte = 2 // query protocol or ingest handshake version mismatch
 	QErrBadRange     byte = 3 // t0 >= t1
 	QErrUnknownMeter byte = 4
 	QErrMixedLevels  byte = 5
 	QErrLevelTooFine byte = 6
 	QErrInternal     byte = 7 // server-side failure outside the caller's control
 	// VerdictDegraded reports the server's storage is degraded and the
-	// operation (an ingest session, typically) was refused. Unlike the
-	// QErr* codes it can arrive on an ingest connection too — the one 'X'
-	// frame the legacy ingest protocol emits, so a sensor learns *why* its
-	// stream ended instead of seeing a bare hangup. In a sequenced session
-	// it arrives per batch (id = refused seq) and the session survives.
+	// operation (an ingest session, typically) was refused. It arrives per
+	// batch (id = refused seq) and the session survives, or as the parting
+	// frame of a handshake refused up front (id 0).
 	VerdictDegraded byte = 8
 	// VerdictOverloaded reports admission control refusing the operation:
 	// the shard's in-flight ingest budget is exhausted. Retryable, distinct
@@ -177,7 +175,7 @@ func (e *QueryError) Is(target error) bool {
 		return e.Code == QErrMixedLevels
 	case ErrQueryLevelTooFine:
 		return e.Code == QErrLevelTooFine
-	case ErrQueryVersionMismatch:
+	case ErrQueryVersionMismatch, ErrVersionMismatch:
 		return e.Code == QErrVersion
 	case ErrUnknownOp, ErrBadQueryFrame:
 		return e.Code == QErrBadRequest

@@ -8,28 +8,21 @@
 // (tested over bytes.Buffer, net.Pipe and real TCP):
 //
 //	frame   = type(1) | length(uint32 BE) | payload
-//	'H'     = session handshake; must be the first frame on a multi-meter
-//	          session stream. v1: version(1) | meterID(uint64 BE).
-//	          v2: version(1) | flags(1) | meterID(uint64 BE); servers
-//	          accept both shapes.
-//	'T'     = lookup table (symbolic.MarshalTable payload)
-//	'S'     = symbol batch: firstT(int64 BE) | window(int64 BE) | packed
-//	          symbols of consecutive windows (symbolic.Pack payload)
+//	'H'     = session handshake, the first frame of every ingest stream:
+//	          version(1) | flags(1) | meterID(uint64 BE). Version must be
+//	          ProtocolVersion and flags must carry FlagSequenced.
+//	'U'     = sequenced table:  seq(uint64 BE) | marshaled table
+//	'D'     = sequenced batch:  seq(uint64 BE) | firstT(int64 BE) |
+//	          window(int64 BE) | packed symbols of consecutive windows
+//	'A'     = ack:              seq(uint64 BE) — the server's committed
+//	          per-meter high-water mark. Sent once as the handshake reply
+//	          (so a reconnecting client learns what survived) and once per
+//	          committed or duplicate-suppressed 'U'/'D' frame.
 //	'E'     = end of stream (empty payload)
 //
 // A batch holds symbols of consecutive windows only; the sensor starts a
 // new batch when a data gap breaks consecutiveness, so timestamps are
 // reconstructed exactly.
-//
-// Protocol v2 adds the sequenced, acknowledged ingest family, negotiated by
-// the FlagSequenced handshake flag (legacy streams stay one-way):
-//
-//	'U'     = sequenced table:  seq(uint64 BE) | marshaled table
-//	'D'     = sequenced batch:  seq(uint64 BE) | firstT | window | packed
-//	'A'     = ack:              seq(uint64 BE) — the server's committed
-//	          per-meter high-water mark. Sent once as the handshake reply
-//	          (so a reconnecting client learns what survived) and once per
-//	          committed or duplicate-suppressed 'U'/'D' frame.
 //
 // Sequence numbers start at 1 and increase by exactly one per 'U'/'D'
 // frame across the meter's lifetime (not per connection). The server
@@ -38,12 +31,9 @@
 // tears the session on a gap. Per-frame refusals (storage degraded, shard
 // overloaded) arrive as 'X' frames carrying the refused seq in the id
 // field; the session survives them, so a client backs off and resends the
-// same seq.
-//
-// The single-connection Sensor/Server pair predates the handshake and
-// still works handshake-free over a dedicated stream; the concurrent
-// aggregation service in internal/server requires the 'H' frame to route
-// a connection to its per-meter session.
+// same seq. A handshake the server cannot honour — the retired one-way v1
+// shape (version | meterID), another version, or a v2 handshake without
+// FlagSequenced — is answered with an 'X' frame carrying QErrVersion.
 package transport
 
 import (
@@ -53,33 +43,29 @@ import (
 	"io"
 
 	"symmeter/internal/symbolic"
-	"symmeter/internal/timeseries"
 )
 
 // Frame types as they appear on the wire.
 const (
 	FrameHandshake byte = 'H'
-	FrameTable     byte = 'T'
-	FrameSymbol    byte = 'S'
 	FrameEnd       byte = 'E'
 	FrameSeqTable  byte = 'U'
 	FrameSeqSymbol byte = 'D'
 	FrameAck       byte = 'A'
 )
 
-// ProtocolVersion is the current sensor→server protocol version carried in
-// the handshake frame. v2 adds the flags byte and the sequenced ingest
-// family; servers still accept v1's flag-less handshake, and a v1 stream
-// never sees the new frames. A server refuses other versions with
-// ErrVersionMismatch rather than guessing at frame semantics.
+// ProtocolVersion is the sensor→server protocol version carried in the
+// handshake frame. A server refuses other versions with ErrVersionMismatch
+// rather than guessing at frame semantics.
 const ProtocolVersion byte = 2
 
-// Handshake flag bits (v2+). Unknown bits are rejected, not ignored — a
-// future revision that needs more must bump ProtocolVersion.
+// Handshake flag bits. Unknown bits are rejected, not ignored — a future
+// revision that needs more must bump ProtocolVersion.
 const (
-	// FlagSequenced requests a sequenced, acknowledged session: the server
+	// FlagSequenced marks a sequenced, acknowledged session: the server
 	// replies to the handshake with an 'A' frame carrying the meter's
-	// committed high-water mark and acks every 'U'/'D' frame.
+	// committed high-water mark and acks every 'U'/'D' frame. Every
+	// handshake must carry it.
 	FlagSequenced byte = 1 << 0
 
 	flagsKnown = FlagSequenced
@@ -99,7 +85,7 @@ var (
 	// MaxFrame.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 	// ErrVersionMismatch reports a handshake from an incompatible protocol
-	// version.
+	// version, including an unsequenced one.
 	ErrVersionMismatch = errors.New("transport: protocol version mismatch")
 	// ErrBadHandshake reports a missing, truncated, or malformed 'H' frame
 	// where a session handshake was required.
@@ -111,113 +97,74 @@ var (
 	ErrUnknownFrame = errors.New("transport: unknown frame type")
 )
 
-// writeFrame emits one frame. Empty payloads are never written separately:
-// a zero-length Write would block forever on fully synchronous transports
-// like net.Pipe, whose writes always wait for a matching read while
-// ReadFull with an empty buffer never issues one.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame. It returns io.EOF only for a clean stream end
-// (no header bytes at all); a header without its payload is a truncated
-// stream and surfaces as io.ErrUnexpectedEOF.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err // io.EOF for clean end, ErrUnexpectedEOF for torn header
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, maxFrame)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, fmt.Errorf("transport: truncated frame payload: %w", err)
-	}
-	return hdr[0], payload, nil
-}
-
 // Handshake identifies one meter's session stream.
 type Handshake struct {
 	Version byte
-	Flags   byte
 	MeterID uint64
 }
 
-// Sequenced reports whether the handshake requested a sequenced,
-// acknowledged session.
-func (hs Handshake) Sequenced() bool { return hs.Flags&FlagSequenced != 0 }
-
-// Handshake payload sizes: v1 is version|meterID, v2 inserts a flags byte.
+// Handshake payload sizes: the v2 handshake is version|flags|meterID; the
+// retired v1 shape lacks the flags byte and is read only to be refused.
 const (
+	handshakeLen   = 10
 	handshakeLenV1 = 9
-	handshakeLenV2 = 10
 )
 
-// WriteHandshake opens a session stream by sending the 'H' frame for the
-// given meter at the current protocol version with no flags set. It must
-// precede every other frame on a multi-meter connection.
+// WriteHandshake opens a session stream by sending the sequenced 'H' frame
+// for the given meter at the current protocol version.
 func WriteHandshake(w io.Writer, meterID uint64) error {
-	return WriteHandshakeFlags(w, meterID, 0)
-}
-
-// WriteHandshakeFlags is WriteHandshake with explicit v2 flag bits —
-// FlagSequenced opts the session into acknowledged, exactly-once ingest.
-func WriteHandshakeFlags(w io.Writer, meterID uint64, flags byte) error {
-	var payload [handshakeLenV2]byte
-	payload[0] = ProtocolVersion
-	payload[1] = flags
-	binary.BigEndian.PutUint64(payload[2:], meterID)
-	return writeFrame(w, FrameHandshake, payload[:])
+	var f [5 + handshakeLen]byte
+	f[0] = FrameHandshake
+	binary.BigEndian.PutUint32(f[1:5], handshakeLen)
+	f[5] = ProtocolVersion
+	f[6] = FlagSequenced
+	binary.BigEndian.PutUint64(f[7:], meterID)
+	_, err := w.Write(f[:])
+	return err
 }
 
 // ReadHandshake reads and validates the 'H' frame that must open a session
-// stream, accepting both the v1 (flag-less) and v2 shapes. Truncated or
-// mistyped frames surface as ErrBadHandshake; incompatible versions as
-// ErrVersionMismatch; unknown flag bits as ErrBadHandshake (a client that
-// needs semantics this server lacks must not be half-understood).
+// stream. The frame is read into a fixed array: a header claiming any
+// length other than a handshake's is refused before a byte of payload is
+// read. Truncated or mistyped frames and unknown flag bits surface as
+// ErrBadHandshake (a client that needs semantics this server lacks must not
+// be half-understood); a v1 handshake, another version, or a handshake
+// without FlagSequenced as ErrVersionMismatch, with the parsed fields
+// returned so the refusal can name the meter.
 func ReadHandshake(r io.Reader) (Handshake, error) {
-	typ, payload, err := readFrame(r)
-	if err != nil {
+	var f [5 + handshakeLen]byte
+	if _, err := io.ReadFull(r, f[:5]); err != nil {
 		return Handshake{}, fmt.Errorf("%w: %w", ErrBadHandshake, err)
 	}
-	if typ != FrameHandshake {
-		return Handshake{}, fmt.Errorf("%w: got frame type %#x, want 'H'", ErrBadHandshake, typ)
+	if f[0] != FrameHandshake {
+		return Handshake{}, fmt.Errorf("%w: got frame type %#x, want 'H'", ErrBadHandshake, f[0])
 	}
-	var hs Handshake
-	switch len(payload) {
-	case handshakeLenV1:
-		hs.Version = payload[0]
-		hs.MeterID = binary.BigEndian.Uint64(payload[1:])
-		if hs.Version != 1 {
-			return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
+	n := binary.BigEndian.Uint32(f[1:5])
+	if n != handshakeLen && n != handshakeLenV1 {
+		return Handshake{}, fmt.Errorf("%w: payload of %d bytes, want %d", ErrBadHandshake, n, handshakeLen)
+	}
+	p := f[5 : 5+n]
+	if _, err := io.ReadFull(r, p); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
 		}
-	case handshakeLenV2:
-		hs.Version = payload[0]
-		hs.Flags = payload[1]
-		hs.MeterID = binary.BigEndian.Uint64(payload[2:])
-		if hs.Version != ProtocolVersion {
-			return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
-		}
-		if hs.Flags&^flagsKnown != 0 {
-			return hs, fmt.Errorf("%w: unknown flag bits %#x", ErrBadHandshake, hs.Flags&^flagsKnown)
-		}
-	default:
-		return Handshake{}, fmt.Errorf("%w: payload of %d bytes, want %d or %d", ErrBadHandshake, len(payload), handshakeLenV1, handshakeLenV2)
+		return Handshake{}, fmt.Errorf("%w: truncated payload: %w", ErrBadHandshake, err)
+	}
+	hs := Handshake{Version: p[0]}
+	if n == handshakeLenV1 {
+		hs.MeterID = binary.BigEndian.Uint64(p[1:])
+		return hs, fmt.Errorf("%w: peer speaks unsequenced v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
+	}
+	flags := p[1]
+	hs.MeterID = binary.BigEndian.Uint64(p[2:])
+	if hs.Version != ProtocolVersion {
+		return hs, fmt.Errorf("%w: peer speaks v%d, server speaks v%d", ErrVersionMismatch, hs.Version, ProtocolVersion)
+	}
+	if flags&^flagsKnown != 0 {
+		return hs, fmt.Errorf("%w: unknown flag bits %#x", ErrBadHandshake, flags&^flagsKnown)
+	}
+	if flags&FlagSequenced == 0 {
+		return hs, fmt.Errorf("%w: unsequenced ingest is not supported", ErrVersionMismatch)
 	}
 	return hs, nil
 }
@@ -243,41 +190,58 @@ func DecodeAck(payload []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(payload), nil
 }
 
+// AppendSeqTableFrame appends the complete 'U' frame announcing table t
+// under seq to buf.
+func AppendSeqTableFrame(buf []byte, seq uint64, t *symbolic.Table) []byte {
+	body := symbolic.MarshalTable(t)
+	var hdr [13]byte
+	hdr[0] = FrameSeqTable
+	binary.BigEndian.PutUint32(hdr[1:5], uint32(8+len(body)))
+	binary.BigEndian.PutUint64(hdr[5:13], seq)
+	return append(append(buf, hdr[:]...), body...)
+}
+
+// AppendSeqSymbolFrame appends the complete 'D' frame carrying symbols at
+// timestamps firstT + i*window under seq to buf — one buffer, one Write,
+// zero allocations once buf has capacity. Symbols of mixed levels are a
+// caller bug reported as an error, with buf returned at its original
+// length.
+func AppendSeqSymbolFrame(buf []byte, seq uint64, firstT, window int64, symbols []symbolic.Symbol) ([]byte, error) {
+	start := len(buf)
+	var hdr [29]byte
+	hdr[0] = FrameSeqSymbol
+	binary.BigEndian.PutUint64(hdr[5:13], seq)
+	binary.BigEndian.PutUint64(hdr[13:21], uint64(firstT))
+	binary.BigEndian.PutUint64(hdr[21:29], uint64(window))
+	buf = append(buf, hdr[:]...)
+	out, err := symbolic.AppendPack(buf, symbols)
+	if err != nil {
+		return buf[:start], err
+	}
+	binary.BigEndian.PutUint32(out[start+1:start+5], uint32(len(out)-start-5))
+	return out, nil
+}
+
 // Event is one decoded protocol frame, as produced by Decoder.Next.
 type Event struct {
-	// Type is the frame type: FrameTable, FrameSymbol, FrameSeqTable,
-	// FrameSeqSymbol or FrameEnd.
+	// Type is the frame type: FrameSeqTable, FrameSeqSymbol or FrameEnd.
 	Type byte
 	// Seq is the batch sequence number for FrameSeqTable and FrameSeqSymbol
 	// events; zero otherwise.
 	Seq uint64
-	// Table is set for FrameTable and FrameSeqTable events.
+	// Table is set for FrameSeqTable events.
 	Table *symbolic.Table
-	// Points is set for FrameSymbol events: the batch's symbols with their
-	// reconstructed window-end timestamps. The slice aliases the Decoder's
-	// reusable scratch buffer and is valid only until the next call to Next;
-	// callers that retain the slice itself (rather than copying its
-	// elements) must take ClonePoints instead.
+	// Points is set for FrameSeqSymbol events: the batch's symbols with
+	// their reconstructed window-end timestamps. The slice aliases the
+	// Decoder's reusable scratch buffer and is valid only until the next
+	// call to Next; callers that retain it must copy it.
 	Points []symbolic.SymbolPoint
 }
 
-// ClonePoints returns a copy of the event's point batch that stays valid
-// after the next Decoder.Next call — the escape hatch for the rare caller
-// that stores the slice instead of consuming it inline.
-func (ev Event) ClonePoints() []symbolic.SymbolPoint {
-	if ev.Points == nil {
-		return nil
-	}
-	out := make([]symbolic.SymbolPoint, len(ev.Points))
-	copy(out, ev.Points)
-	return out
-}
-
-// Decoder incrementally decodes a sensor stream frame by frame. Unlike
-// Server.ReadAll it hands each table and symbol batch to the caller as it
-// arrives, which is what a concurrent per-meter session loop needs: state
-// lands in a shared store batch-by-batch instead of accumulating per
-// connection.
+// Decoder incrementally decodes a sensor stream frame by frame, handing
+// each table and symbol batch to the caller as it arrives, which is what a
+// concurrent per-meter session loop needs: state lands in a shared store
+// batch-by-batch instead of accumulating per connection.
 //
 // The Decoder owns three scratch buffers — the FrameReader's payload, the
 // unpacked symbols and the emitted points — that are reused across Next
@@ -291,7 +255,7 @@ type Decoder struct {
 	pts  []symbolic.SymbolPoint
 }
 
-// NewDecoder wraps a reader positioned after any handshake.
+// NewDecoder wraps a reader positioned after the handshake.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{fr: FrameReader{r: r}} }
 
 // TableEstablished marks the stream's symbol-before-table precondition as
@@ -311,13 +275,6 @@ func (d *Decoder) Next() (Event, error) {
 		return Event{}, err
 	}
 	switch typ {
-	case FrameTable:
-		t, err := symbolic.UnmarshalTable(payload)
-		if err != nil {
-			return Event{}, fmt.Errorf("transport: bad table frame: %w", err)
-		}
-		d.tables++
-		return Event{Type: FrameTable, Table: t}, nil
 	case FrameSeqTable:
 		if len(payload) < 8 {
 			return Event{}, errors.New("transport: short sequenced table frame")
@@ -329,12 +286,6 @@ func (d *Decoder) Next() (Event, error) {
 		}
 		d.tables++
 		return Event{Type: FrameSeqTable, Seq: seq, Table: t}, nil
-	case FrameSymbol:
-		pts, err := d.decodeBatch(payload)
-		if err != nil {
-			return Event{}, err
-		}
-		return Event{Type: FrameSymbol, Points: pts}, nil
 	case FrameSeqSymbol:
 		if len(payload) < 8 {
 			return Event{}, errors.New("transport: short sequenced symbol frame")
@@ -354,8 +305,8 @@ func (d *Decoder) Next() (Event, error) {
 	}
 }
 
-// decodeBatch decodes the firstT | window | packed body shared by 'S' and
-// 'D' frames into the reusable point scratch.
+// decodeBatch decodes a 'D' frame's firstT | window | packed body into the
+// reusable point scratch.
 func (d *Decoder) decodeBatch(body []byte) ([]symbolic.SymbolPoint, error) {
 	if d.tables == 0 {
 		return nil, ErrSymbolBeforeTable
@@ -381,203 +332,4 @@ func (d *Decoder) decodeBatch(body []byte) ([]symbolic.SymbolPoint, error) {
 		pts[i] = symbolic.SymbolPoint{T: firstT + int64(i)*window, S: sym}
 	}
 	return pts, nil
-}
-
-// Sensor encodes raw measurements and streams table + symbol frames.
-type Sensor struct {
-	w         io.Writer
-	enc       *symbolic.Encoder
-	window    int64
-	batchSize int
-
-	batch       []symbolic.Symbol
-	batchFirstT int64
-	nextT       int64
-	closed      bool
-	// scratch is the reusable frame-assembly buffer: sendBatch builds the
-	// whole symbol frame (header, timestamps, packed payload) into it and
-	// issues a single Write, so steady-state streaming neither allocates
-	// nor splits a frame across two writes.
-	scratch []byte
-}
-
-// NewSensor writes the table frame and returns a streaming sensor emitting
-// one symbol per window seconds, batching up to batchSize consecutive
-// symbols per frame (default 96).
-func NewSensor(w io.Writer, table *symbolic.Table, window int64, batchSize int) (*Sensor, error) {
-	if table == nil {
-		return nil, errors.New("transport: sensor needs a table")
-	}
-	if window <= 0 {
-		return nil, errors.New("transport: window must be positive")
-	}
-	if batchSize <= 0 {
-		batchSize = 96
-	}
-	if err := writeFrame(w, FrameTable, symbolic.MarshalTable(table)); err != nil {
-		return nil, err
-	}
-	return &Sensor{
-		w:         w,
-		enc:       symbolic.NewEncoder(table, window),
-		window:    window,
-		batchSize: batchSize,
-	}, nil
-}
-
-// Push feeds one measurement; completed windows are buffered and flushed as
-// batches fill or gaps break consecutiveness.
-func (s *Sensor) Push(p timeseries.Point) error {
-	if s.closed {
-		return errors.New("transport: sensor closed")
-	}
-	sp, ok, err := s.enc.Push(p)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	return s.buffer(sp)
-}
-
-func (s *Sensor) buffer(sp symbolic.SymbolPoint) error {
-	if len(s.batch) > 0 && sp.T != s.nextT {
-		if err := s.flushBatch(); err != nil {
-			return err
-		}
-	}
-	if len(s.batch) == 0 {
-		s.batchFirstT = sp.T
-	}
-	s.batch = append(s.batch, sp.S)
-	s.nextT = sp.T + s.window
-	if len(s.batch) >= s.batchSize {
-		return s.flushBatch()
-	}
-	return nil
-}
-
-// UpdateTable resends a new lookup table (the §2/§4 adaptive path). Pending
-// symbols encoded with the old table are flushed first.
-func (s *Sensor) UpdateTable(table *symbolic.Table) error {
-	if s.closed {
-		return errors.New("transport: sensor closed")
-	}
-	if err := s.flushBatch(); err != nil {
-		return err
-	}
-	// Encoder state: a partially filled window was encoded by the old
-	// encoder; flush it so no window straddles tables.
-	if sp, ok := s.enc.Flush(); ok {
-		if err := s.sendBatch(sp.T, []symbolic.Symbol{sp.S}); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(s.w, FrameTable, symbolic.MarshalTable(table)); err != nil {
-		return err
-	}
-	s.enc = symbolic.NewEncoder(table, s.window)
-	return nil
-}
-
-// flushBatch sends the pending batch frame, if any.
-func (s *Sensor) flushBatch() error {
-	if len(s.batch) == 0 {
-		return nil
-	}
-	err := s.sendBatch(s.batchFirstT, s.batch)
-	s.batch = s.batch[:0]
-	return err
-}
-
-func (s *Sensor) sendBatch(firstT int64, symbols []symbolic.Symbol) error {
-	// Frame layout: type(1) | length(4) | firstT(8) | window(8) | packed.
-	buf := s.scratch[:0]
-	var hdr [21]byte
-	hdr[0] = FrameSymbol
-	binary.BigEndian.PutUint64(hdr[5:13], uint64(firstT))
-	binary.BigEndian.PutUint64(hdr[13:21], uint64(s.window))
-	buf = append(buf, hdr[:]...)
-	buf, err := symbolic.AppendPack(buf, symbols)
-	if err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
-	s.scratch = buf
-	_, err = s.w.Write(buf)
-	return err
-}
-
-// Close flushes the trailing window and batch and writes the end frame.
-func (s *Sensor) Close() error {
-	if s.closed {
-		return nil
-	}
-	if sp, ok := s.enc.Flush(); ok {
-		if err := s.buffer(sp); err != nil {
-			return err
-		}
-	}
-	if err := s.flushBatch(); err != nil {
-		return err
-	}
-	s.closed = true
-	return writeFrame(s.w, FrameEnd, nil)
-}
-
-// Server decodes the sensor stream back into timestamped symbols, tracking
-// table updates.
-type Server struct {
-	r io.Reader
-	// Tables holds every table received, in order; the last is current.
-	Tables []*symbolic.Table
-	// Points holds the decoded symbol stream.
-	Points []symbolic.SymbolPoint
-	// TableAt[i] indexes Tables for Points[i] (symbols before a table
-	// update decode against the older table).
-	TableAt []int
-}
-
-// NewServer wraps a reader.
-func NewServer(r io.Reader) *Server { return &Server{r: r} }
-
-// ReadAll consumes frames until the end frame or EOF.
-func (s *Server) ReadAll() error {
-	dec := NewDecoder(s.r)
-	for {
-		ev, err := dec.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch ev.Type {
-		case FrameTable:
-			s.Tables = append(s.Tables, ev.Table)
-		case FrameSymbol:
-			s.Points = append(s.Points, ev.Points...)
-			for range ev.Points {
-				s.TableAt = append(s.TableAt, len(s.Tables)-1)
-			}
-		case FrameEnd:
-			return nil
-		}
-	}
-}
-
-// Reconstruct maps the decoded symbols to representative values using the
-// table that was current when each symbol was sent.
-func (s *Server) Reconstruct() (*timeseries.Series, error) {
-	pts := make([]timeseries.Point, len(s.Points))
-	for i, sp := range s.Points {
-		table := s.Tables[s.TableAt[i]]
-		v, err := table.Value(sp.S)
-		if err != nil {
-			return nil, err
-		}
-		pts[i] = timeseries.Point{T: sp.T, V: v}
-	}
-	return timeseries.New("reconstructed", pts)
 }

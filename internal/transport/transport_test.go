@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -29,134 +29,90 @@ func testTable(t *testing.T) *symbolic.Table {
 	return table
 }
 
-func TestRoundTripBuffer(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 60, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
+// encodeStream symbolizes pts at the given window and frames the result as
+// one 'U' table frame (seq 1) followed by 'D' batches of up to batch
+// consecutive windows (seq 2, 3, ...) and the 'E' terminator. It returns
+// the stream and the symbols it carries.
+func encodeStream(t *testing.T, table *symbolic.Table, window int64, batch int, pts []timeseries.Point) ([]byte, []symbolic.SymbolPoint) {
+	t.Helper()
+	enc := symbolic.NewEncoder(table, window)
 	var want []symbolic.SymbolPoint
-	enc := symbolic.NewEncoder(table, 60)
-	for i := int64(0); i < 600; i++ {
-		p := timeseries.Point{T: i, V: rng.Float64() * 1000}
-		if err := sensor.Push(p); err != nil {
+	for _, p := range pts {
+		sp, ok, err := enc.Push(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sp, ok, _ := enc.Push(p); ok {
+		if ok {
 			want = append(want, sp)
 		}
 	}
 	if sp, ok := enc.Flush(); ok {
 		want = append(want, sp)
 	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
+	buf := AppendSeqTableFrame(nil, 1, table)
+	seq := uint64(1)
+	syms := make([]symbolic.Symbol, 0, batch)
+	for i := 0; i < len(want); {
+		j := i + 1
+		for j < len(want) && j-i < batch && want[j].T == want[j-1].T+window {
+			j++
+		}
+		syms = syms[:0]
+		for _, sp := range want[i:j] {
+			syms = append(syms, sp.S)
+		}
+		seq++
+		var err error
+		if buf, err = AppendSeqSymbolFrame(buf, seq, want[i].T, window, syms); err != nil {
+			t.Fatal(err)
+		}
+		i = j
 	}
+	return append(buf, FrameEnd, 0, 0, 0, 0), want
+}
 
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
+// decodeAll drains a stream through a Decoder up to its 'E' frame,
+// returning the tables and a copy of every decoded point.
+func decodeAll(r io.Reader) (tables int, pts []symbolic.SymbolPoint, err error) {
+	dec := NewDecoder(r)
+	for {
+		ev, err := dec.Next()
+		if err != nil {
+			return tables, pts, err
+		}
+		switch ev.Type {
+		case FrameSeqTable:
+			tables++
+		case FrameSeqSymbol:
+			pts = append(pts, ev.Points...)
+		case FrameEnd:
+			return tables, pts, nil
+		}
+	}
+}
+
+func TestRoundTripBuffer(t *testing.T) {
+	table := testTable(t)
+	rng := rand.New(rand.NewSource(2))
+	raw := make([]timeseries.Point, 600)
+	for i := range raw {
+		raw[i] = timeseries.Point{T: int64(i), V: rng.Float64() * 1000}
+	}
+	data, want := encodeStream(t, table, 60, 10, raw)
+	tables, got, err := decodeAll(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(server.Tables) != 1 {
-		t.Fatalf("tables = %d", len(server.Tables))
+	if tables != 1 {
+		t.Fatalf("tables = %d", tables)
 	}
-	if len(server.Points) != len(want) {
-		t.Fatalf("points = %d, want %d", len(server.Points), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("points = %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if server.Points[i] != want[i] {
-			t.Fatalf("point %d = %+v, want %+v", i, server.Points[i], want[i])
+		if got[i] != want[i] {
+			t.Fatalf("point %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestGapStartsNewBatch(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two windows, a 50-second hole, two more windows.
-	for _, ts := range []int64{0, 5, 10, 15, 70, 75, 80, 85} {
-		if err := sensor.Push(timeseries.Point{T: ts, V: 500}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Windows: [0,10) [10,20) [70,80) [80,90) → T = 10,20,80,90.
-	wantT := []int64{10, 20, 80, 90}
-	if len(server.Points) != len(wantT) {
-		t.Fatalf("points = %d, want %d", len(server.Points), len(wantT))
-	}
-	for i, w := range wantT {
-		if server.Points[i].T != w {
-			t.Fatalf("T[%d] = %d, want %d", i, server.Points[i].T, w)
-		}
-	}
-}
-
-func TestTableUpdateMidStream(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 100; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// New table with a different range (drifted data).
-	vals := make([]float64, 128)
-	for i := range vals {
-		vals[i] = 4000 + float64(i)*10
-	}
-	table2, err := symbolic.Learn(symbolic.MethodMedian, vals, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sensor.UpdateTable(table2); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(100); i < 200; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 4500}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	server := NewServer(&buf)
-	if err := server.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(server.Tables) != 2 {
-		t.Fatalf("tables = %d, want 2", len(server.Tables))
-	}
-	recon, err := server.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Early points decode near 100, late points near 4500: the server must
-	// apply the right table per segment.
-	early, _ := recon.At(10)
-	late := recon.Points[recon.Len()-1].V
-	if math.Abs(early-100) > 100 {
-		t.Fatalf("early reconstruction = %v, want ~100", early)
-	}
-	if math.Abs(late-4500) > 300 {
-		t.Fatalf("late reconstruction = %v, want ~4500", late)
 	}
 }
 
@@ -169,122 +125,70 @@ func TestOverNetPipe(t *testing.T) {
 	_ = client.SetDeadline(deadline)
 	_ = srvConn.SetDeadline(deadline)
 
-	done := make(chan error, 1)
-	server := NewServer(srvConn)
+	raw := make([]timeseries.Point, 200)
+	for i := range raw {
+		raw[i] = timeseries.Point{T: int64(i), V: float64(i)}
+	}
+	data, _ := encodeStream(t, table, 10, 4, raw)
+	type result struct {
+		pts []symbolic.SymbolPoint
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
-		done <- server.ReadAll()
+		_, pts, err := decodeAll(srvConn)
+		done <- result{pts, err}
 	}()
-	sensor, err := NewSensor(client, table, 10, 4)
-	if err != nil {
+	if _, err := client.Write(data); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 200; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: float64(i)}); err != nil {
-			t.Fatal(err)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.pts) != 20 {
+		t.Fatalf("points = %d, want 20", len(res.pts))
+	}
+}
+
+// TestServerErrors pins the decoder's refusals of broken streams.
+func TestServerErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"unknown frame", []byte{'Z', 0, 0, 0, 0}},
+		{"truncated frame", []byte{FrameSeqTable, 0, 0, 1, 0}}, // claims 256 bytes, has none
+		{"oversized length", []byte{FrameSeqTable, 0xFF, 0xFF, 0xFF, 0xFF}},
+		{"short sequenced table", []byte{FrameSeqTable, 0, 0, 0, 4, 0, 0, 0, 1}},
+		{"short sequenced batch", []byte{FrameSeqSymbol, 0, 0, 0, 4, 0, 0, 0, 1}},
+	} {
+		if _, _, err := decodeAll(bytes.NewReader(tc.stream)); err == nil || errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v, want a decode error", tc.name, err)
 		}
 	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if len(server.Points) != 20 {
-		t.Fatalf("points = %d, want 20", len(server.Points))
-	}
-}
-
-func TestServerErrors(t *testing.T) {
-	// Symbol frame before any table.
-	var buf bytes.Buffer
-	payload := make([]byte, 16)
-	if err := writeFrame(&buf, FrameSymbol, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewServer(&buf).ReadAll(); err == nil {
-		t.Fatal("symbol before table should error")
-	}
-	// Unknown frame type.
-	buf.Reset()
-	if err := writeFrame(&buf, 'X', nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewServer(&buf).ReadAll(); err == nil {
-		t.Fatal("unknown frame should error")
-	}
-	// Truncated frame.
-	buf.Reset()
-	buf.Write([]byte{FrameTable, 0, 0, 1, 0}) // claims 256 bytes, has none
-	if err := NewServer(&buf).ReadAll(); err == nil {
-		t.Fatal("truncated frame should error")
-	}
-	// Oversized length field.
-	buf.Reset()
-	buf.Write([]byte{FrameTable, 0xFF, 0xFF, 0xFF, 0xFF})
-	if err := NewServer(&buf).ReadAll(); err == nil {
-		t.Fatal("oversized frame should error")
-	}
-	// Clean EOF without end frame is accepted (stream cut).
-	buf.Reset()
-	if err := NewServer(&buf).ReadAll(); err != nil {
-		t.Fatalf("empty stream: %v", err)
-	}
-}
-
-func TestSensorValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewSensor(&buf, nil, 10, 4); err == nil {
-		t.Fatal("nil table should error")
-	}
-	if _, err := NewSensor(&buf, testTable(t), 0, 4); err == nil {
-		t.Fatal("zero window should error")
-	}
-	sensor, err := NewSensor(&buf, testTable(t), 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sensor.batchSize != 96 {
-		t.Fatalf("default batch size = %d", sensor.batchSize)
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sensor.Push(timeseries.Point{}); err == nil {
-		t.Fatal("push after close should error")
-	}
-	if err := sensor.UpdateTable(testTable(t)); err == nil {
-		t.Fatal("update after close should error")
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal("double close should be a no-op")
+	// A stream cut cleanly between frames is io.EOF, which the session
+	// reports as a disconnect without end frame.
+	if _, err := NewDecoder(bytes.NewReader(nil)).Next(); err != io.EOF {
+		t.Fatalf("empty stream: %v, want io.EOF", err)
 	}
 }
 
 func TestCorruptedPayloadSurfaces(t *testing.T) {
 	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
+	raw := make([]timeseries.Point, 100)
+	for i := range raw {
+		raw[i] = timeseries.Point{T: int64(i), V: 1}
 	}
-	for i := int64(0); i < 100; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Flip the level byte of the table frame payload: the frame length no
-	// longer matches the declared alphabet and decoding must fail loudly.
-	data[6] ^= 0xFF
-	if err := NewServer(bytes.NewReader(data)).ReadAll(); err == nil {
+	data, _ := encodeStream(t, table, 10, 4, raw)
+	// Flip the level byte of the table frame payload (after the 5-byte
+	// header, the 8-byte seq and the 'T' marker): the frame length no longer
+	// matches the declared alphabet and decoding must fail loudly.
+	data[14] ^= 0xFF
+	if _, _, err := decodeAll(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted table frame should error")
 	}
 }
-
-var _ io.Writer = (*bytes.Buffer)(nil)
 
 // --- Handshake + Decoder protocol edges ----------------------------------
 
@@ -303,14 +207,9 @@ func TestHandshakeRoundTrip(t *testing.T) {
 }
 
 func TestReadHandshakeWrongFrameType(t *testing.T) {
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, testTable(t), 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sensor
-	// The buffer starts with a 'T' frame, not 'H'.
-	if _, err := ReadHandshake(&buf); !errors.Is(err, ErrBadHandshake) {
+	// The stream starts with a 'U' frame, not 'H'.
+	data := AppendSeqTableFrame(nil, 1, testTable(t))
+	if _, err := ReadHandshake(bytes.NewReader(data)); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("err = %v, want ErrBadHandshake", err)
 	}
 }
@@ -330,10 +229,28 @@ func TestReadHandshakeTruncated(t *testing.T) {
 
 func TestReadHandshakeShortPayload(t *testing.T) {
 	var buf bytes.Buffer
-	// A well-formed frame of type 'H' whose payload is 3 bytes, not 9.
+	// A well-formed frame of type 'H' whose payload is 3 bytes, not 10.
 	buf.Write([]byte{FrameHandshake, 0, 0, 0, 3, ProtocolVersion, 0, 0})
 	if _, err := ReadHandshake(&buf); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("err = %v, want ErrBadHandshake", err)
+	}
+}
+
+// TestReadHandshakeHugeClaimNoAlloc: a bare 'H' header claiming MaxFrame
+// bytes is refused from the header alone — no payload read, no buffer
+// sized by the claim.
+func TestReadHandshakeHugeClaimNoAlloc(t *testing.T) {
+	hdr := []byte{FrameHandshake, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[1:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadHandshake(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadHandshake) {
+		t.Fatalf("err = %v, want ErrBadHandshake", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("refusing a %d-byte claim allocated %d bytes", MaxFrame, grew)
 	}
 }
 
@@ -352,7 +269,7 @@ func TestReadHandshakeVersionMismatch(t *testing.T) {
 func TestOversizedFrameTyped(t *testing.T) {
 	var buf bytes.Buffer
 	var hdr [5]byte
-	hdr[0] = FrameTable
+	hdr[0] = FrameSeqTable
 	binary.BigEndian.PutUint32(hdr[1:], MaxFrame+1)
 	buf.Write(hdr[:])
 	if _, err := NewDecoder(&buf).Next(); !errors.Is(err, ErrFrameTooLarge) {
@@ -366,22 +283,8 @@ func TestOversizedFrameTyped(t *testing.T) {
 }
 
 func TestDecoderSymbolBeforeTable(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 50; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: 100}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Skip the leading table frame so the first thing seen is 'S'.
-	data := buf.Bytes()
+	data := buildSymbolStream(t, testTable(t), 2, 4)
+	// Skip the leading table frame so the first thing seen is 'D'.
 	tableLen := binary.BigEndian.Uint32(data[1:5])
 	stream := data[5+tableLen:]
 	if _, err := NewDecoder(bytes.NewReader(stream)).Next(); !errors.Is(err, ErrSymbolBeforeTable) {
@@ -399,97 +302,33 @@ func TestDecoderRejectsLateHandshake(t *testing.T) {
 	}
 }
 
+// TestDecoderUnknownFrameTyped: bytes outside the alphabet — including the
+// retired one-way 'T' and 'S' frames — are typed protocol errors.
 func TestDecoderUnknownFrameTyped(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{'Z', 0, 0, 0, 0})
-	if _, err := NewDecoder(&buf).Next(); !errors.Is(err, ErrUnknownFrame) {
-		t.Fatalf("err = %v, want ErrUnknownFrame", err)
-	}
-}
-
-// TestDecoderMatchesServer replays one stream through both the incremental
-// Decoder and the accumulating Server and requires identical results.
-func TestDecoderMatchesServer(t *testing.T) {
-	table := testTable(t)
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := int64(0); i < 500; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: rng.Float64() * 1000}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.UpdateTable(testTable(t)); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(500); i < 900; i++ {
-		if err := sensor.Push(timeseries.Point{T: i, V: rng.Float64() * 1000}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	server := NewServer(bytes.NewReader(data))
-	if err := server.ReadAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	dec := NewDecoder(bytes.NewReader(data))
-	var tables int
-	var pts []symbolic.SymbolPoint
-	for {
-		ev, err := dec.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Type == FrameEnd {
-			break
-		}
-		switch ev.Type {
-		case FrameTable:
-			tables++
-		case FrameSymbol:
-			pts = append(pts, ev.Points...)
-		}
-	}
-	if tables != len(server.Tables) {
-		t.Fatalf("decoder tables = %d, server = %d", tables, len(server.Tables))
-	}
-	if len(pts) != len(server.Points) {
-		t.Fatalf("decoder points = %d, server = %d", len(pts), len(server.Points))
-	}
-	for i := range pts {
-		if pts[i] != server.Points[i] {
-			t.Fatalf("point %d: decoder %+v, server %+v", i, pts[i], server.Points[i])
+	for _, typ := range []byte{'Z', 'T', 'S'} {
+		frame := []byte{typ, 0, 0, 0, 0}
+		if _, err := NewDecoder(bytes.NewReader(frame)).Next(); !errors.Is(err, ErrUnknownFrame) {
+			t.Fatalf("%q: err = %v, want ErrUnknownFrame", typ, err)
 		}
 	}
 }
 
-// buildSymbolStream writes one table frame followed by `frames` identical
-// symbol batches of `batch` consecutive windows each, returning the raw
-// stream bytes.
+// buildSymbolStream returns one table frame, `frames` symbol batches of
+// `batch` consecutive one-second windows each, and the end frame.
 func buildSymbolStream(t *testing.T, table *symbolic.Table, frames, batch int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	sensor, err := NewSensor(&buf, table, 1, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < frames*batch; i++ {
-		if err := sensor.Push(timeseries.Point{T: int64(i), V: float64(i % 500)}); err != nil {
+	buf := AppendSeqTableFrame(nil, 1, table)
+	syms := make([]symbolic.Symbol, batch)
+	for f := 0; f < frames; f++ {
+		for i := range syms {
+			syms[i] = table.Encode(float64((f*batch + i) % 500))
+		}
+		var err error
+		if buf, err = AppendSeqSymbolFrame(buf, uint64(f+2), int64(f*batch), 1, syms); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sensor.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return append(buf, FrameEnd, 0, 0, 0, 0)
 }
 
 // TestDecoderNextZeroAlloc enforces the Decoder's buffer-reuse contract:
@@ -511,7 +350,7 @@ func TestDecoderNextZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Type != FrameSymbol || len(ev.Points) == 0 {
+		if ev.Type != FrameSeqSymbol || len(ev.Points) == 0 {
 			t.Fatalf("unexpected event %c with %d points", ev.Type, len(ev.Points))
 		}
 	})
@@ -521,8 +360,7 @@ func TestDecoderNextZeroAlloc(t *testing.T) {
 }
 
 // TestDecoderPointsReused pins the documented valid-until-next-call
-// semantics: the Points slice aliases decoder scratch across calls, and
-// ClonePoints detaches a batch from it.
+// semantics: the Points slice aliases decoder scratch across calls.
 func TestDecoderPointsReused(t *testing.T) {
 	table := testTable(t)
 	data := buildSymbolStream(t, table, 3, 8)
@@ -535,7 +373,6 @@ func TestDecoderPointsReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := ev1.Points[0]
-	clone := ev1.ClonePoints()
 	ev2, err := dec.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -546,70 +383,72 @@ func TestDecoderPointsReused(t *testing.T) {
 	if ev1.Points[0] == first {
 		t.Fatal("second Next did not overwrite the reused batch (test fixture too uniform)")
 	}
-	if clone[0] != first || len(clone) != 8 {
-		t.Fatal("ClonePoints did not preserve the first batch")
-	}
-	if (Event{}).ClonePoints() != nil {
-		t.Fatal("ClonePoints of empty event must be nil")
-	}
 }
 
-// TestSensorSteadyStateZeroAlloc enforces the sensor-side contract: pushing
-// measurements through completed windows and batch flushes must not
-// allocate once the batch and frame scratch buffers exist.
-func TestSensorSteadyStateZeroAlloc(t *testing.T) {
+// TestAppendSeqSymbolFrameZeroAlloc enforces the sensor-side contract:
+// framing a batch into a reused buffer must not allocate, and a rejected
+// batch leaves the buffer at its original length.
+func TestAppendSeqSymbolFrameZeroAlloc(t *testing.T) {
 	table := testTable(t)
-	const batch = 16
-	sensor, err := NewSensor(io.Discard, table, 1, batch)
+	syms := make([]symbolic.Symbol, 96)
+	for i := range syms {
+		syms[i] = table.Encode(float64(i * 7 % 700))
+	}
+	buf, err := AppendSeqSymbolFrame(nil, 1, 0, 900, syms) // grow the buffer
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := int64(0)
-	push := func() {
-		// One run = one full batch: batch completed windows, one flush.
-		for i := 0; i < batch; i++ {
-			if err := sensor.Push(timeseries.Point{T: next, V: float64(next % 700)}); err != nil {
-				t.Fatal(err)
-			}
-			next++
+	seq := uint64(1)
+	allocs := testing.AllocsPerRun(200, func() {
+		seq++
+		if buf, err = AppendSeqSymbolFrame(buf[:0], seq, int64(seq)*86400, 900, syms); err != nil {
+			t.Fatal(err)
 		}
-	}
-	push() // grow scratch buffers
-	allocs := testing.AllocsPerRun(200, push)
+	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Sensor.Push allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state AppendSeqSymbolFrame allocates %.1f times per run, want 0", allocs)
+	}
+	mixed := []symbolic.Symbol{symbolic.NewSymbol(1, 3), symbolic.NewSymbol(1, 4)}
+	n := len(buf)
+	if out, err := AppendSeqSymbolFrame(buf, 9, 0, 900, mixed); err == nil || len(out) != n {
+		t.Fatalf("mixed-level batch: len %d err %v, want len %d and an error", len(out), err, n)
 	}
 }
 
-// --- Protocol v2: flags handshake, acks, sequenced frames -----------------
+// --- Protocol v2: sequenced handshake, acks, sequenced frames -------------
 
-func TestHandshakeV1StillAccepted(t *testing.T) {
+// TestHandshakeV1Refused: the retired one-way handshakes — v1's flag-less
+// shape and a v2 handshake without FlagSequenced — are version mismatches,
+// parsed far enough to name the meter.
+func TestHandshakeV1Refused(t *testing.T) {
 	var buf bytes.Buffer
-	payload := make([]byte, 9)
-	payload[0] = 1 // v1: version | meterID, no flags byte
-	binary.BigEndian.PutUint64(payload[1:], 42)
-	buf.Write([]byte{FrameHandshake, 0, 0, 0, 9})
-	buf.Write(payload)
+	buf.Write([]byte{FrameHandshake, 0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 42})
 	hs, err := ReadHandshake(&buf)
-	if err != nil {
-		t.Fatalf("v1 handshake refused: %v", err)
+	if !errors.Is(err, ErrVersionMismatch) || hs.Version != 1 || hs.MeterID != 42 {
+		t.Fatalf("v1 handshake: hs = %+v err = %v, want v1 meter 42 and ErrVersionMismatch", hs, err)
 	}
-	if hs.Version != 1 || hs.MeterID != 42 || hs.Sequenced() {
-		t.Fatalf("hs = %+v, want v1 meter 42 unsequenced", hs)
+	buf.Reset()
+	buf.Write([]byte{FrameHandshake, 0, 0, 0, 10, ProtocolVersion, 0, 0, 0, 0, 0, 0, 0, 0, 7})
+	hs, err = ReadHandshake(&buf)
+	if !errors.Is(err, ErrVersionMismatch) || hs.MeterID != 7 {
+		t.Fatalf("unsequenced v2 handshake: hs = %+v err = %v, want meter 7 and ErrVersionMismatch", hs, err)
 	}
 }
 
+// TestHandshakeFlagsRoundTrip pins the handshake's wire bytes: every
+// handshake written is the 15-byte v2 frame with FlagSequenced set.
 func TestHandshakeFlagsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHandshakeFlags(&buf, 7, FlagSequenced); err != nil {
+	if err := WriteHandshake(&buf, 7); err != nil {
 		t.Fatal(err)
+	}
+	want := []byte{FrameHandshake, 0, 0, 0, 10, ProtocolVersion, FlagSequenced, 0, 0, 0, 0, 0, 0, 0, 7}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("handshake bytes % x, want % x", buf.Bytes(), want)
 	}
 	hs, err := ReadHandshake(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Version != ProtocolVersion || hs.MeterID != 7 || !hs.Sequenced() {
-		t.Fatalf("hs = %+v, want v%d meter 7 sequenced", hs, ProtocolVersion)
+	if err != nil || hs.Version != ProtocolVersion || hs.MeterID != 7 {
+		t.Fatalf("hs = %+v err = %v, want v%d meter 7", hs, err, ProtocolVersion)
 	}
 }
 
@@ -642,19 +481,17 @@ func TestAckFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecoderSequencedFrames round-trips a 'U' and a 'D' frame and pins
+// their documented byte layout.
 func TestDecoderSequencedFrames(t *testing.T) {
 	table := testTable(t)
-	var buf bytes.Buffer
-
-	// 'U' seq=1 carrying the table.
 	body := symbolic.MarshalTable(table)
-	hdr := []byte{FrameSeqTable, 0, 0, 0, 0}
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(8+len(body)))
-	buf.Write(hdr)
-	var seq8 [8]byte
-	binary.BigEndian.PutUint64(seq8[:], 1)
-	buf.Write(seq8[:])
-	buf.Write(body)
+	data := AppendSeqTableFrame(nil, 1, table)
+	if len(data) != 13+len(body) || data[0] != FrameSeqTable ||
+		binary.BigEndian.Uint32(data[1:5]) != uint32(8+len(body)) ||
+		binary.BigEndian.Uint64(data[5:13]) != 1 || !bytes.Equal(data[13:], body) {
+		t.Fatalf("'U' frame layout drifted: % x", data[:13])
+	}
 
 	// 'D' seq=2: firstT=100, window=10, three symbols.
 	syms := []symbolic.Symbol{
@@ -666,18 +503,20 @@ func TestDecoderSequencedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dhdr := []byte{FrameSeqSymbol, 0, 0, 0, 0}
-	binary.BigEndian.PutUint32(dhdr[1:5], uint32(24+len(packed)))
-	buf.Write(dhdr)
-	binary.BigEndian.PutUint64(seq8[:], 2)
-	buf.Write(seq8[:])
-	binary.BigEndian.PutUint64(seq8[:], 100)
-	buf.Write(seq8[:])
-	binary.BigEndian.PutUint64(seq8[:], 10)
-	buf.Write(seq8[:])
-	buf.Write(packed)
+	tl := len(data)
+	data, err = AppendSeqSymbolFrame(data, 2, 100, 10, syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := data[tl:]
+	if len(d) != 29+len(packed) || d[0] != FrameSeqSymbol ||
+		binary.BigEndian.Uint32(d[1:5]) != uint32(24+len(packed)) ||
+		binary.BigEndian.Uint64(d[5:13]) != 2 || binary.BigEndian.Uint64(d[13:21]) != 100 ||
+		binary.BigEndian.Uint64(d[21:29]) != 10 || !bytes.Equal(d[29:], packed) {
+		t.Fatalf("'D' frame layout drifted: % x", d[:29])
+	}
 
-	dec := NewDecoder(&buf)
+	dec := NewDecoder(bytes.NewReader(data))
 	ev, err := dec.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -728,6 +567,10 @@ func TestRetryablePredicate(t *testing.T) {
 		if !Retryable(qe) {
 			t.Fatalf("Retryable(code %d) = false, want true", code)
 		}
+	}
+	version := &QueryError{Code: QErrVersion}
+	if !errors.Is(version, ErrVersionMismatch) || Retryable(version) {
+		t.Fatal("a version refusal must match ErrVersionMismatch and not be retryable")
 	}
 	if Retryable(&QueryError{Code: QErrInternal}) || Retryable(io.EOF) || Retryable(nil) {
 		t.Fatal("non-retryable error classified retryable")

@@ -1,8 +1,10 @@
-// Package client is the Go library for querying a symmeter aggregation
-// server over TCP: connect, ask for compressed-domain aggregates (Count,
-// Sum, Mean, Min, Max, Aggregate, Histogram) over [t0, t1) — per meter or
-// fleet-wide — and get back exactly what the in-process query engine would
-// have answered, as raw IEEE-754 bit patterns rather than formatted text.
+// Package client is the Go library for talking to a symmeter aggregation
+// server over TCP. A Session (DialSession) streams one meter's tables and
+// symbol batches with exactly-once delivery. A Client (Dial) asks for
+// compressed-domain aggregates (Count, Sum, Mean, Min, Max, Aggregate,
+// Histogram) over [t0, t1) — per meter or fleet-wide — and gets back
+// exactly what the in-process query engine would have answered, as raw
+// IEEE-754 bit patterns rather than formatted text.
 //
 // A Client owns one connection and reuses its request buffer, response
 // decoder and histogram bins across calls, so the steady-state query path
@@ -42,8 +44,8 @@ var (
 	ErrLevelTooFine = transport.ErrQueryLevelTooFine
 	// ErrDegraded reports the server refusing ingest because its storage
 	// is degraded. Nothing about the refused write was stored, so it is
-	// safe — and expected — to retry after a backoff (see Backoff.Retry);
-	// queries keep working against the same server throughout.
+	// safe — and expected — to retry after a backoff, which a Session does
+	// on its own; queries keep working against the same server throughout.
 	ErrDegraded = transport.ErrServerDegraded
 	// ErrOverloaded reports the server refusing a batch because the shard's
 	// ingest memory budget is exhausted. Nothing was stored; retryable.
@@ -59,9 +61,9 @@ var (
 
 // Retryable reports whether err is one of the server's typed
 // nothing-was-written refusals (degraded, overloaded, draining, busy) — the
-// family Backoff.Retry waits out. Raw transport errors are NOT retryable
-// here: without a sequenced Session the client cannot know whether the
-// server committed the write before the connection died.
+// family a Session waits out under its Backoff. Raw transport errors are
+// NOT retryable here: only a Session's reconnect handshake can tell whether
+// the server committed the write before the connection died.
 func Retryable(err error) bool { return transport.Retryable(err) }
 
 // Agg is an order-insensitive aggregate over a time range, mirroring the

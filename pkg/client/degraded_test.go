@@ -67,7 +67,7 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 	const meter = 42
 
 	// Phase 1: healthy durable ingest through the client library.
-	ing, err := client.DialIngest(addr.String(), meter)
+	ing, err := client.DialSession(addr.String(), meter, client.SessionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,30 +102,27 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 		faultfs.Fault{Op: faultfs.OpWrite, Path: ".wal", Sticky: true},
 		faultfs.Fault{Op: faultfs.OpSync, Path: ".probe", Sticky: true},
 	)
-	tryIngest := func() error {
-		s, err := client.DialIngest(addr.String(), meter)
+	// A reconnecting session resumes after the meter's committed batches
+	// against the table it already announced.
+	tryIngest := func(b client.Backoff) error {
+		s, err := client.DialSession(addr.String(), meter, client.SessionConfig{Backoff: b})
 		if err != nil {
 			return err
 		}
-		// Each session re-announces its table (the stream protocol decodes
-		// symbols against it); while degraded this is the first refused write.
-		if err := s.PushTable(table); err != nil {
-			s.Close()
-			return err
-		}
-		if err := s.Append(degradedFirstT(5), 900, degradedSymbols(meter, 5, table)); err != nil {
-			s.Close()
-			return err
-		}
-		return s.Close()
+		defer s.Close()
+		return s.Append(degradedFirstT(5), 900, degradedSymbols(meter, 5, table))
 	}
-	err = tryIngest()
+	// The batch is refused per frame with the typed verdict; the session
+	// resends it until its attempt budget runs out. The budget also rides
+	// out the busy verdict a redial can race with the previous session.
+	brief := client.Backoff{Min: time.Millisecond, Max: 5 * time.Millisecond, Attempts: 10}
+	err = tryIngest(brief)
 	if !errors.Is(err, client.ErrDegraded) {
 		t.Fatalf("ingest on dead disk: got %v, want client.ErrDegraded", err)
 	}
 	// A second attempt is refused up front (the engine is now degraded) and
 	// still reports the typed verdict through the wire.
-	if err := tryIngest(); !errors.Is(err, client.ErrDegraded) {
+	if err := tryIngest(brief); !errors.Is(err, client.ErrDegraded) {
 		t.Fatalf("ingest while degraded: got %v, want client.ErrDegraded", err)
 	}
 	if n := svc.Stats().DegradedSessions; n == 0 {
@@ -142,11 +139,10 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 		t.Fatalf("degraded query drifted: %+v vs baseline %+v", agg, base)
 	}
 
-	// Phase 3: the disk comes back. The client's backoff retry rides out the
+	// Phase 3: the disk comes back. The session's backoff rides out the
 	// probe interval and lands the batch durably, no operator involved.
 	ffs.SetFaults()
-	retry := client.Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 200}
-	if err := retry.Retry(tryIngest); err != nil {
+	if err := tryIngest(client.Backoff{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond, Attempts: 200}); err != nil {
 		t.Fatalf("retry after disk recovery: %v", err)
 	}
 	after, err := qc.Aggregate(meter, 0, math.MaxInt64)
@@ -180,48 +176,5 @@ func TestIngestDegradedEndToEnd(t *testing.T) {
 		math.Float64bits(got.Min) != math.Float64bits(after.Min) ||
 		math.Float64bits(got.Max) != math.Float64bits(after.Max) {
 		t.Fatalf("recovered aggregate %+v (ok=%v), want %+v", got, ok, after)
-	}
-}
-
-// TestBackoffStopsOnOtherErrors pins Backoff.Retry's contract: only the
-// typed retryable refusals — degraded, overloaded, draining, busy — are
-// worth waiting out; any other error — and success — returns immediately.
-// Raw transport errors must NOT retry: without a sequenced Session the
-// caller cannot know whether the server committed the write.
-func TestBackoffStopsOnOtherErrors(t *testing.T) {
-	calls := 0
-	boom := errors.New("boom")
-	err := client.Backoff{Min: time.Millisecond, Attempts: 10}.Retry(func() error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || calls != 1 {
-		t.Fatalf("non-retryable error: %v after %d calls, want boom after 1", err, calls)
-	}
-	for _, sentinel := range []error{
-		client.ErrDegraded, client.ErrOverloaded, client.ErrDraining, client.ErrMeterBusy,
-	} {
-		calls = 0
-		err = client.Backoff{Min: time.Millisecond, Attempts: 10}.Retry(func() error {
-			calls++
-			if calls < 3 {
-				return sentinel
-			}
-			return nil
-		})
-		if err != nil || calls != 3 {
-			t.Fatalf("%v-then-success: %v after %d calls, want nil after 3", sentinel, err, calls)
-		}
-	}
-	calls = 0
-	err = client.Backoff{Min: time.Millisecond, Attempts: 4}.Retry(func() error {
-		calls++
-		return client.ErrDegraded
-	})
-	if !errors.Is(err, client.ErrDegraded) || calls != 4 {
-		t.Fatalf("exhausted attempts: %v after %d calls, want ErrDegraded after 4", err, calls)
-	}
-	if !client.Retryable(client.ErrOverloaded) || client.Retryable(boom) || client.Retryable(nil) {
-		t.Fatal("Retryable predicate drifted from the Backoff contract")
 	}
 }

@@ -2,9 +2,9 @@ package client
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"time"
 
@@ -34,8 +34,46 @@ func (c *SessionConfig) ackTimeout() time.Duration {
 	return c.AckTimeout
 }
 
-// Session is an exactly-once ingest session: the sequenced, acknowledged,
-// auto-reconnecting counterpart of Ingestor. Every PushTable and Append is
+// Backoff paces a Session's retries while the server answers with a typed
+// retryable refusal — degraded storage, shard overload, graceful drain, or
+// a still-registered meter (see Retryable) — or the connection fails: at
+// most Attempts tries per operation with full-jitter exponential delay,
+// each sleep drawn uniformly from [0, min(Max, Min·2ⁱ)]. Zero fields pick
+// defaults (10ms, 1s, 10). The jitter is what keeps a refused fleet from
+// reconverging in lockstep: an overloaded shard that refuses a thousand
+// sensors at once must not get all thousand back on the same tick.
+type Backoff struct {
+	Min      time.Duration
+	Max      time.Duration
+	Attempts int
+}
+
+func (b Backoff) attempts() int {
+	if b.Attempts <= 0 {
+		return 10
+	}
+	return b.Attempts
+}
+
+// delay returns the full-jitter sleep before retry attempt i (0-based).
+func (b Backoff) delay(i int) time.Duration {
+	min, max := b.Min, b.Max
+	if min <= 0 {
+		min = 10 * time.Millisecond
+	}
+	if max <= 0 {
+		max = time.Second
+	}
+	cap := min << uint(i)
+	if cap > max || cap <= 0 { // <= 0: shift overflow
+		cap = max
+	}
+	return time.Duration(rand.Int64N(int64(cap) + 1))
+}
+
+// Session is an exactly-once ingest session: a meter streaming tables and
+// symbol batches to a server over the sequenced, acknowledged,
+// auto-reconnecting protocol. Every PushTable and Append is
 // assigned the meter's next sequence number, sent, and held until the
 // server's ack for that seq arrives; a transport failure or ack timeout
 // tears the connection down, redials under the backoff policy, learns the
@@ -52,7 +90,7 @@ func (c *SessionConfig) ackTimeout() time.Duration {
 // or the backoff budget ran out — in both cases the caller knows exactly
 // where the stream stopped via Seq.
 //
-// Like Ingestor, a Session is single-goroutine.
+// A Session is single-goroutine.
 type Session struct {
 	addr    string
 	meterID uint64
@@ -166,7 +204,7 @@ func (s *Session) connect() (hwm uint64, err error) {
 	}
 	bw := bufio.NewWriter(conn)
 	fr := transport.NewFrameReader(bufio.NewReader(conn))
-	if err := transport.WriteHandshakeFlags(bw, s.meterID, transport.FlagSequenced); err == nil {
+	if err := transport.WriteHandshake(bw, s.meterID); err == nil {
 		err = bw.Flush()
 	}
 	if err != nil {
@@ -191,8 +229,8 @@ func (s *Session) connect() (hwm uint64, err error) {
 		}
 	case transport.FrameQueryError:
 		// The server refused the session with a typed verdict (draining,
-		// busy meter, degraded start) — surface it; retryable ones are the
-		// reconnect loop's to wait out.
+		// busy meter, degraded start, unsupported version) — surface it;
+		// retryable ones are the reconnect loop's to wait out.
 		var res transport.QueryResult
 		err = transport.DecodeQueryResponse(typ, payload, &res)
 		conn.Close()
@@ -277,13 +315,8 @@ func (s *Session) PushTable(t *symbolic.Table) error {
 	if s.err != nil {
 		return s.err
 	}
-	body := symbolic.MarshalTable(t)
 	s.seq++
-	var hdr [13]byte
-	hdr[0] = transport.FrameSeqTable
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(8+len(body)))
-	binary.BigEndian.PutUint64(hdr[5:13], s.seq)
-	s.pendingFrame = append(append(s.buf[:0], hdr[:]...), body...)
+	s.pendingFrame = transport.AppendSeqTableFrame(s.buf[:0], s.seq, t)
 	return s.commit()
 }
 
@@ -298,18 +331,11 @@ func (s *Session) Append(firstT, window int64, symbols []symbolic.Symbol) error 
 		return nil // nothing to make durable; don't spend a seq on it
 	}
 	s.seq++
-	var hdr [29]byte
-	hdr[0] = transport.FrameSeqSymbol
-	binary.BigEndian.PutUint64(hdr[5:13], s.seq)
-	binary.BigEndian.PutUint64(hdr[13:21], uint64(firstT))
-	binary.BigEndian.PutUint64(hdr[21:29], uint64(window))
-	buf := append(s.buf[:0], hdr[:]...)
-	buf, err := symbolic.AppendPack(buf, symbols)
+	buf, err := transport.AppendSeqSymbolFrame(s.buf[:0], s.seq, firstT, window, symbols)
 	if err != nil {
 		s.seq--
 		return err // caller bug (mixed levels); the stream is untouched
 	}
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(buf)-5))
 	s.pendingFrame = buf
 	return s.commit()
 }

@@ -93,6 +93,10 @@ type FS struct {
 	mu     sync.Mutex
 	faults []*Fault
 	counts [opCount]int
+	ops    int // operations so far, every class
+	// crashAt, when positive, is the operation number from which every
+	// operation fails: CrashAfter's crash point.
+	crashAt int
 
 	opens   int
 	closes  int
@@ -107,15 +111,36 @@ func New(faults ...Fault) *FS {
 	return f
 }
 
-// SetFaults replaces the fault schedule (hit counts start over).
+// SetFaults replaces the fault schedule (hit counts start over) and disarms
+// any CrashAfter.
 func (f *FS) SetFaults(faults ...Fault) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.crashAt = 0
 	f.faults = make([]*Fault, len(faults))
 	for i := range faults {
 		fc := faults[i]
 		f.faults[i] = &fc
 	}
+}
+
+// CrashAfter models the process dying after n more operations: every
+// operation from the (n+1)'th on — of any class, on any path — fails with
+// ErrIO, and if that first failing operation is a write it is torn (half
+// its bytes land). Pair it with the engine's Abandon to leave exactly the
+// directory a crash at that operation would, and with a loop over n to
+// crash at every operation of a sequence in turn.
+func (f *FS) CrashAfter(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashAt = f.ops + n + 1
+}
+
+// Ops returns the number of operations run so far, of every class.
+func (f *FS) Ops() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops
 }
 
 // Counts returns how many operations of each class have run (including
@@ -152,6 +177,10 @@ func (f *FS) check(op Op, path string) (short bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.counts[op]++
+	f.ops++
+	if f.crashAt > 0 && f.ops >= f.crashAt {
+		return f.ops == f.crashAt, ErrIO
+	}
 	for _, ft := range f.faults {
 		if ft.Op != op {
 			continue

@@ -147,3 +147,39 @@ func TestCloseFaultStillReleasesDescriptor(t *testing.T) {
 		t.Fatalf("open balance after failed close: %d", got)
 	}
 }
+
+// TestCrashAfter: the n operations after CrashAfter(n) run, the next one —
+// a write, here — is torn, and every operation after it fails, of any
+// class; SetFaults disarms the crash.
+func TestCrashAfter(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "z.dat")
+	fs := faultfs.New()
+	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Ops()
+	fs.CrashAfter(1)
+	if _, err := f.Write([]byte("whole")); err != nil {
+		t.Fatalf("write before the crash: %v", err)
+	}
+	if _, err := f.Write([]byte("torn")); !errors.Is(err, faultfs.ErrIO) {
+		t.Fatalf("crashing write: got %v, want ErrIO", err)
+	}
+	if err := f.Sync(); !errors.Is(err, faultfs.ErrIO) {
+		t.Fatalf("sync after the crash: got %v, want ErrIO", err)
+	}
+	if _, err := fs.ReadFile(path); !errors.Is(err, faultfs.ErrIO) {
+		t.Fatalf("read after the crash: got %v, want ErrIO", err)
+	}
+	if got := fs.Ops() - before; got != 4 {
+		t.Fatalf("Ops counted %d operations, want 4", got)
+	}
+	f.Close()
+	fs.SetFaults()
+	data, err := fs.ReadFile(path)
+	if err != nil || string(data) != "wholeto" {
+		t.Fatalf("after SetFaults: %q, %v; want the whole write and half the torn one", data, err)
+	}
+}

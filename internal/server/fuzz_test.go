@@ -2,8 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -154,5 +158,142 @@ func TestIngestConnValidStreamCommits(t *testing.T) {
 	stored, acked := runIngestConn(t, append(data, transport.FrameEnd, 0, 0, 0, 0))
 	if stored != 2 || acked != 2 {
 		t.Fatalf("stored %d, acked %d symbols; want 2 and 2", stored, acked)
+	}
+}
+
+// fuzzQueryHandler answers every op with a well-formed result sized by the
+// request, and refuses some meters and every empty range, so the fuzzed
+// session encodes 'R' frames of each op and 'X' frames alike.
+func fuzzQueryHandler(req transport.QueryRequest, res *transport.QueryResult) error {
+	switch {
+	case req.T0 >= req.T1:
+		return transport.ErrQueryBadRange
+	case req.MeterID%5 == 4:
+		return transport.ErrQueryUnknownMeter
+	}
+	*res = transport.QueryResult{ID: req.ID, Op: req.Op, Count: req.MeterID, Sum: float64(req.T0)}
+	if req.Op == transport.OpHistogram {
+		res.Count = 0
+		res.Level = int(req.MeterID % 4)
+		res.Counts = make([]uint64, 1<<res.Level)
+		res.Counts[0] = req.MeterID
+	}
+	return nil
+}
+
+// FuzzQueryConn feeds arbitrary bytes to handleConn on a query-only
+// listener, with the request bytes served from memory and the responses
+// crossing a net.Pipe, as FuzzIngestConn does for ingest. Whatever the
+// bytes, the server must not panic, the session must end, and every
+// response must be a well-formed 'R' or 'X' frame carrying an id one of
+// the input's requests sent.
+func FuzzQueryConn(f *testing.F) {
+	req := transport.QueryRequest{ID: 7, Op: transport.OpAggregate, MeterID: 3, T0: 0, T1: 900}
+	valid := transport.AppendQueryRequestFrame(nil, req)
+	hist := req
+	hist.ID, hist.Op, hist.MeterID = 8, transport.OpHistogram, 6
+	f.Add(append(transport.AppendQueryRequestFrame(valid, hist), transport.FrameEnd, 0, 0, 0, 0))
+	// A request with an unknown op: answered with an 'X' under its id.
+	badOp := append([]byte(nil), valid...)
+	badOp[6] = 0xee
+	f.Add(badOp)
+	// A 'Q' frame cut short in its payload.
+	f.Add(valid[:20])
+	// A 'Q' header claiming the largest frame, and nothing after it.
+	f.Add([]byte{transport.FrameQuery, 0xff, 0xff, 0xff, 0xff})
+	huge := []byte{transport.FrameQuery, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(huge[1:], transport.MaxFrame)
+	f.Add(append(append([]byte(nil), valid...), huge...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, id := range runQueryConn(t, data) {
+			if !sentID(data, id) {
+				t.Fatalf("response carries id %d, which no request sent", id)
+			}
+		}
+	})
+}
+
+// runQueryConn runs one query-only connection carrying data through
+// handleConn and returns the ids of the responses, failing on any response
+// frame that does not parse.
+func runQueryConn(t *testing.T, data []byte) []uint64 {
+	t.Helper()
+	svc := New(Config{Shards: 2})
+	svc.SetQueryHandler(handlerFunc(fuzzQueryHandler))
+	serverEnd, clientEnd := net.Pipe()
+	type result struct {
+		ids []uint64
+		err error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		var r result
+		var res transport.QueryResult
+		fr := transport.NewFrameReader(clientEnd)
+		for {
+			typ, payload, err := fr.Next()
+			if err != nil {
+				break
+			}
+			var qe *transport.QueryError
+			if err := transport.DecodeQueryResponse(typ, payload, &res); err != nil && !errors.As(err, &qe) {
+				r.err = fmt.Errorf("response frame %q: %w", typ, err)
+				break
+			}
+			r.ids = append(r.ids, res.ID)
+		}
+		io.Copy(io.Discard, clientEnd)
+		resCh <- r
+	}()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		svc.handleConn(scriptedConn{Conn: serverEnd, in: bytes.NewReader(data)}, true)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session did not end")
+	}
+	r := <-resCh
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.ids
+}
+
+// sentID reports whether id is one the server could have read from data:
+// the id of a 'Q' frame before the session's first other frame, or 0 for a
+// request too short to carry one.
+func sentID(data []byte, id uint64) bool {
+	fr := transport.NewFrameReader(bytes.NewReader(data))
+	for {
+		typ, payload, err := fr.Next()
+		if err != nil || typ != transport.FrameQuery {
+			return false
+		}
+		if len(payload) < 11 {
+			if id == 0 {
+				return true
+			}
+			continue
+		}
+		if binary.BigEndian.Uint64(payload[3:11]) == id {
+			return true
+		}
+	}
+}
+
+// TestQueryConnAnswersValidRequests pins the FuzzQueryConn harness on
+// well-formed input, so its invariant cannot hold vacuously: both requests
+// are answered under their own ids.
+func TestQueryConnAnswersValidRequests(t *testing.T) {
+	data := transport.AppendQueryRequestFrame(nil, transport.QueryRequest{ID: 11, Op: transport.OpCount, MeterID: 2, T1: 60})
+	data = transport.AppendQueryRequestFrame(data, transport.QueryRequest{ID: 12, Op: transport.OpHistogram, MeterID: 3, T1: 60})
+	ids := runQueryConn(t, append(data, transport.FrameEnd, 0, 0, 0, 0))
+	slices.Sort(ids)
+	if !slices.Equal(ids, []uint64{11, 12}) {
+		t.Fatalf("answered ids %v, want [11 12]", ids)
 	}
 }

@@ -339,6 +339,132 @@ func TestSpillFailureFallsBackToHeap(t *testing.T) {
 	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
 }
 
+// TestSpillResumeKeepsSegmentsAPrefix: once a meter's block stays on the
+// heap because spilling failed, none of its later blocks may spill before
+// it. Segments must hold a prefix of every meter's chain — recovery
+// restores them as one and a checkpoint counts them as covered — so a
+// block spilled ahead of a heap-resident one would replay out of order.
+func TestSpillResumeKeepsSegmentsAPrefix(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	meters := []uint64{1, 2}
+	eng := chaosOpen(t, dir, ffs, storage.SyncOff, 2*time.Millisecond)
+	startMeters(t, eng, table, meters)
+	acked := map[uint64][]int{}
+	ingest := func(from, to int) {
+		t.Helper()
+		for idx := from; idx < to; idx++ {
+			for _, m := range meters {
+				if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+					t.Fatalf("meter %d batch %d: %v", m, idx, err)
+				}
+				acked[m] = append(acked[m], idx)
+			}
+		}
+	}
+	ingest(0, 20)
+	if err := eng.Flush(); err != nil { // the first blocks are in a finished segment
+		t.Fatal(err)
+	}
+	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", Sticky: true})
+	ingest(20, 40)
+	// The probe may already have re-enabled spilling (it tests the data
+	// directory, not segment opens); the fallbacks are what count.
+	if h := eng.Health(); h.SpillFallbacks == 0 {
+		t.Fatalf("no block fell back to the heap: %+v", h)
+	}
+	ffs.SetFaults()
+	waitFor(t, 5*time.Second, "spill to resume", func() bool { return !eng.Health().SpillDisabled })
+	ingest(40, 60)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	defer re.Close()
+	want := buildOracle(t, table, meters, acked)
+	requireStoresEqual(t, re.Store(), want, meters)
+	// Aggregates do not see the chain's order; the reconstructed stream does.
+	for _, m := range meters {
+		g, _ := re.Store().Snapshot(m)
+		w, _ := want.Snapshot(m)
+		if len(g.Points) != len(w.Points) {
+			t.Fatalf("meter %d: %d points, want %d", m, len(g.Points), len(w.Points))
+		}
+		for i := range g.Points {
+			if g.Points[i] != w.Points[i] {
+				t.Fatalf("meter %d point %d: %+v, want %+v: the chain restored out of order", m, i, g.Points[i], w.Points[i])
+			}
+		}
+	}
+}
+
+// TestSpillResumeSpillsHeldBlocks: the blocks a spill outage kept on the
+// heap spill once spilling resumes, so later rotations checkpoint each
+// meter's live tail alone instead of carrying the outage's blocks for the
+// rest of the engine's life, and a restart restores them from segments.
+func TestSpillResumeSpillsHeldBlocks(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New()
+	table := chaosTable(t)
+	meters := []uint64{1, 2}
+	eng := chaosOpen(t, dir, ffs, storage.SyncOff, 2*time.Millisecond)
+	startMeters(t, eng, table, meters)
+	acked := map[uint64][]int{}
+	idx := 0
+	ingest := func(n int) {
+		t.Helper()
+		for end := idx + n; idx < end; idx++ {
+			for _, m := range meters {
+				if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+					t.Fatalf("meter %d batch %d: %v", m, idx, err)
+				}
+				acked[m] = append(acked[m], idx)
+			}
+		}
+	}
+	ingest(20)
+	if err := eng.Flush(); err != nil { // the next seal must open a segment
+		t.Fatal(err)
+	}
+	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpOpen, Path: ".seg", Sticky: true})
+	ingest(20) // about four blocks per meter stay on the heap
+	fallbacks := eng.Health().SpillFallbacks
+	if fallbacks == 0 {
+		t.Fatal("no block fell back to the heap")
+	}
+	ffs.SetFaults()
+	waitFor(t, 5*time.Second, "spill to resume", func() bool { return !eng.Health().SpillDisabled })
+	// A meter's checkpoint: record and meter headers, its table and at most
+	// its tail block (block header, 512 level-4 symbols).
+	ckptPerMeter := 12 + 64 + len(symbolic.MarshalTable(table)) + 25 + 256
+	for round := 0; round < 3; round++ {
+		ingest(10)
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		walBytes, _, err := eng.DiskUsage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walBytes > int64(len(meters)*ckptPerMeter) {
+			t.Fatalf("rotation %d: the logs hold %d bytes, more than %d meters' tail checkpoints", round, walBytes, len(meters))
+		}
+	}
+	if h := eng.Health(); h.SpillFallbacks != fallbacks {
+		t.Fatalf("blocks kept falling back after spilling resumed: %d, was %d", h.SpillFallbacks, fallbacks)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := chaosOpen(t, dir, ffs, storage.SyncOff, time.Hour)
+	defer re.Close()
+	if rs := re.Recovery(); rs.ReplayedPoints >= int64(len(meters)*512) {
+		t.Fatalf("restart replayed %d points: the held blocks came from the log, not the segments", rs.ReplayedPoints)
+	}
+	requireStoresEqual(t, re.Store(), buildOracle(t, table, meters, acked), meters)
+}
+
 // TestManifestFailureRetriesThenDegrades drives writeManifest through both
 // injected failure shapes — rename EIO and ENOSPC on the temp file — and
 // checks the satellite contract: retries with backoff, then degrade; the
@@ -539,8 +665,8 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"format": 3`) {
-		t.Fatalf("manifest not migrated to format 3:\n%s", raw)
+	if !strings.Contains(string(raw), `"format": 4`) {
+		t.Fatalf("manifest not migrated to format 4:\n%s", raw)
 	}
 	re := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
 	defer re.Close()

@@ -17,17 +17,26 @@
 // live tails, summaries and directories no matter how much history
 // accumulates.
 //
+// The WAL does not outlive the segments that cover it. Each time a shard's
+// open segment finishes (it is full, or Flush or Close runs) the shard's log
+// rotates: a new generation opens with a checkpoint — per meter, its table
+// history, sequence high-water mark, segment-covered point count and the
+// blocks after those points — the manifest moves the shard's floor to it,
+// and the older generations are unlinked. A shard's log therefore holds
+// about one segment's worth of records plus a checkpoint, whatever the
+// uptime, and after a clean Close it holds the checkpoint alone.
+//
 // Recovery replays in two layers: manifest-listed segments rebuild each
 // meter's sealed chain (summaries and the firstT directory come from the
-// segment footer — no payload is decoded), then the WAL replays through the
-// normal Append path with each meter's already-restored point count skipped,
-// rebuilding the live tails and any blocks that sealed after the last
-// finished segment. A batch the segments fully cover is skipped from its
-// header without unpacking, so replay costs what the uncovered tail holds,
-// and shards — which never share a meter — verify and replay in parallel.
-// Anything torn at the very end of a WAL was never acknowledged and is
-// truncated; damage anywhere else fails recovery loudly (ErrWALCorrupt)
-// rather than silently dropping acknowledged data.
+// segment footer — no payload is decoded), then the WAL from the shard's
+// floor replays through the normal Append path: the checkpoint's blocks and
+// the records after it, less each meter's points the segments restored
+// beyond the checkpoint's covered count. A batch the segments fully cover is
+// skipped from its header without unpacking, so replay costs what the
+// uncovered tail holds, and shards — which never share a meter — verify and
+// replay in parallel. Anything torn at the very end of a WAL was never
+// acknowledged and is truncated; damage anywhere else fails recovery loudly
+// (ErrWALCorrupt) rather than silently dropping acknowledged data.
 //
 // Every filesystem operation goes through the FS seam (fs.go), and every
 // durability failure is classified by the health state machine (health.go):
@@ -40,6 +49,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -94,7 +105,9 @@ type RecoveryStats struct {
 	SegmentPoints int64
 	// WALRecords is the total parsed log records; ReplayedPoints the points
 	// re-appended through the store (tails plus post-manifest seals);
-	// SkippedPoints the points the segment restore already covered.
+	// SkippedPoints the points the segment restore already covered — those
+	// a checkpoint counts as covered plus those skipped in its blocks and
+	// the records after it.
 	WALRecords     int
 	ReplayedPoints int64
 	SkippedPoints  int64
@@ -112,19 +125,40 @@ type RecoveryStats struct {
 	Replay      time.Duration
 }
 
-// meterMeta is the engine's per-meter ingest state (current epoch and symbol
-// level), used to frame WAL batch records and pre-validate appends before
-// they are logged, plus the sequenced-ingest high-water mark. Fields are
-// written only by the meter's single session goroutine (the same
-// serialization the wire protocol imposes); cross-session visibility rides
-// the store's shard lock in EndSession/StartSession.
+// meterMeta is the engine's per-meter ingest state (table history and
+// current symbol level), used to frame WAL batch records, pre-validate
+// appends before they are logged and write checkpoints, plus the
+// sequenced-ingest high-water mark. Fields are written only by the meter's
+// single session goroutine (the same serialization the wire protocol
+// imposes), under its shard's gate; cross-session visibility rides the
+// store's shard lock in EndSession/StartSession.
 type meterMeta struct {
-	epoch int
-	level int
+	tables []*symbolic.Table
+	level  int
 	// seq is the highest committed session sequence number — the value a
 	// reconnecting client learns in its handshake ack. It advances only
 	// after the store commit, so an acked seq is always readable.
 	seq uint64
+}
+
+// epoch is the index of the meter's current table.
+func (mm *meterMeta) epoch() int { return len(mm.tables) - 1 }
+
+// shardGate orders a shard's writes against its log rotations. A write
+// holds it shared from its log record to its store commit; a rotation holds
+// it exclusively, so the store it checkpoints holds exactly what the logs it
+// unlinks hold, and no write straddles the swap to the new log. due marks a
+// shard whose open segment finished, which makes its log due a checkpoint.
+type shardGate struct {
+	mu  sync.RWMutex
+	due atomic.Bool
+	_   [32]byte // one gate per cache line
+}
+
+// walGenFile is one live log generation below a shard's current one.
+type walGenFile struct {
+	gen  uint64
+	size int64
 }
 
 // Engine wraps a server.Store with the WAL + segment durability layer. It
@@ -138,14 +172,19 @@ type Engine struct {
 	store *server.Store
 	segs  []*segmentWriter
 
-	// wals holds each shard's current log behind an atomic pointer so a
-	// heal can rotate in a fresh generation while appends are in flight; a
-	// retired log stays open (its records are the replay source and
-	// stragglers may still touch it) until Close.
-	wals      []atomic.Pointer[wal]
-	walGen    atomic.Uint64
-	retiredMu sync.Mutex
-	retired   []*wal
+	// wals holds each shard's current log behind an atomic pointer: a
+	// rotation swaps in the next generation under the shard's gate, and the
+	// group syncer reads it without one.
+	wals   []atomic.Pointer[wal]
+	walGen atomic.Uint64
+	gates  []shardGate
+	// older is, per shard and under its gate, the live generations below
+	// the one wals[i] appends to — the replay prefix a checkpoint unlinks.
+	// walOlder totals their sizes and segBytes every segment file's, for
+	// the byte gauges.
+	older    [][]walGenFile
+	walOlder atomic.Int64
+	segBytes atomic.Int64
 
 	meters sync.Map // meterID → *meterMeta
 
@@ -201,7 +240,7 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	if !haveMan {
-		man = manifest{Format: manifestFormat, Shards: opts.Shards}
+		man = newManifest(opts.Shards)
 	}
 	if !haveMan || migrated {
 		if err := writeManifest(fsys, opts.Dir, man); err != nil {
@@ -229,6 +268,7 @@ func Open(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.registerRecoveryMetrics()
+	e.registerDiskMetrics()
 	e.stop = make(chan struct{})
 	// The probe runs for the engine's lifetime (idle while Healthy) so a
 	// degrade never has to race a goroutine start against Close.
@@ -261,24 +301,27 @@ func (e *Engine) walGenPath(shard int, gen uint64) string {
 	return filepath.Join(e.opts.Dir, "wal", fmt.Sprintf("shard-%04d-%06d.wal", shard, gen))
 }
 
-// walGenOf parses a log file name's generation; ok is false for names that
-// are not shard logs.
-func walGenOf(name string) (gen uint64, ok bool) {
+// parseWALName parses a log file name's shard and generation; ok is false
+// for names that are not shard logs.
+func parseWALName(name string) (shard int, gen uint64, ok bool) {
 	if !strings.HasPrefix(name, "shard-") || !strings.HasSuffix(name, ".wal") {
-		return 0, false
+		return 0, 0, false
 	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "shard-"), ".wal")
-	switch parts := strings.Split(mid, "-"); len(parts) {
-	case 1:
-		return 0, true
-	case 2:
-		g, err := strconv.ParseUint(parts[1], 10, 64)
-		if err != nil {
-			return 0, false
+	parts := strings.Split(strings.TrimSuffix(strings.TrimPrefix(name, "shard-"), ".wal"), "-")
+	if len(parts) > 2 {
+		return 0, 0, false
+	}
+	s, err := strconv.ParseUint(parts[0], 10, 31)
+	if err != nil {
+		return 0, 0, false
+	}
+	if len(parts) == 2 {
+		// Generation 0 has only the short name.
+		if gen, err = strconv.ParseUint(parts[1], 10, 64); err != nil || gen == 0 {
+			return 0, 0, false
 		}
-		return g, true
 	}
-	return 0, false
+	return int(s), gen, true
 }
 
 // recover rebuilds the store: orphan cleanup, segment restore, WAL replay,
@@ -286,11 +329,14 @@ func walGenOf(name string) (gen uint64, ok bool) {
 // unwinds every file and mapping opened so far.
 func (e *Engine) recover() error {
 	shards := e.opts.Shards
+	e.gates = make([]shardGate, shards)
 
 	// 1. Drop segment files the manifest does not list — the open segment of
 	// a crashed run has no footer and its blocks replay from the WAL — and
-	// WAL generations above the manifest's: a heal that crashed before its
-	// manifest barrier never acknowledged anything into them.
+	// WAL generations outside a shard's live range: above the manifest's
+	// generation a rotation crashed before its manifest barrier and never
+	// acknowledged anything into them; below the shard's floor a checkpoint
+	// superseded them and crashed before it unlinked them.
 	listed := make(map[string]bool, len(e.man.Segments))
 	nextSeq := make([]uint64, shards)
 	for _, ms := range e.man.Segments {
@@ -314,11 +360,26 @@ func (e *Engine) recover() error {
 	if err != nil {
 		return err
 	}
+	live := make([][]uint64, shards)
 	for _, ent := range walEntries {
-		if gen, ok := walGenOf(ent.Name()); ok && gen > e.man.WALGen {
+		shard, gen, ok := parseWALName(ent.Name())
+		if !ok || ent.IsDir() || shard >= shards {
+			continue
+		}
+		if gen > e.man.WALGen || gen < e.man.WALFloor[shard] {
 			if err := e.fs.Remove(filepath.Join(e.opts.Dir, "wal", ent.Name())); err != nil {
 				return err
 			}
+			continue
+		}
+		live[shard] = append(live[shard], gen)
+	}
+	// A floor above 0 names the generation holding the shard's checkpoint,
+	// its meters' only record of what the segments do not hold. Without it
+	// the shard would silently come back empty.
+	for i, floor := range e.man.WALFloor {
+		if floor > 0 && !slices.Contains(live[i], floor) {
+			return fmt.Errorf("%w: shard %d: checkpoint generation %s is missing", ErrWALCorrupt, i, e.walGenPath(i, floor))
 		}
 	}
 
@@ -340,6 +401,7 @@ func (e *Engine) recover() error {
 			return err
 		}
 		e.trackMapping(mapping)
+		e.segBytes.Add(int64(len(mapping)))
 		e.recovered.Segments++
 		for _, sb := range blocks {
 			mr := logs[e.store.ShardFor(sb.meterID)].meter(sb.meterID)
@@ -351,23 +413,22 @@ func (e *Engine) recover() error {
 	}
 	e.recovered.SegmentLoad = time.Since(start)
 
-	// 3. Read every shard's WAL — all generations up to the manifest's,
-	// oldest first; a shard's record stream is their concatenation — then
-	// verify the shards in parallel and truncate torn tails. The file
-	// operations run in shard order, so a fault schedule that fails the Nth
-	// one fails the same file on every run.
+	// 3. Read every shard's live WAL generations, oldest first — a shard's
+	// record stream is their concatenation — then verify the shards in
+	// parallel and truncate torn tails. The file operations run in shard
+	// order, so a fault schedule that fails the Nth one fails the same file
+	// on every run.
 	start = time.Now()
+	e.older = make([][]walGenFile, shards)
 	for i := range logs {
-		for g := uint64(0); g <= e.man.WALGen; g++ {
+		slices.Sort(live[i])
+		for j, g := range live[i] {
 			path := e.walGenPath(i, g)
 			raw, err := e.fs.ReadFile(path)
-			if errors.Is(err, fs.ErrNotExist) {
-				continue
-			}
 			if err != nil {
 				return err
 			}
-			logs[i].files = append(logs[i].files, walFile{path: path, raw: raw, current: g == e.man.WALGen})
+			logs[i].files = append(logs[i].files, walFile{path: path, gen: g, raw: raw, current: j == len(live[i])-1})
 		}
 	}
 	if err := forEachShard(shards, func(i int) error { return logs[i].verify(e.store, i) }); err != nil {
@@ -381,6 +442,10 @@ func (e *Engine) recover() error {
 				}
 				e.recovered.TornTails++
 			}
+			if !f.current {
+				e.older[i] = append(e.older[i], walGenFile{gen: f.gen, size: f.valid})
+				e.walOlder.Add(f.valid)
+			}
 		}
 		e.recovered.WALRecords += len(logs[i].recs)
 	}
@@ -388,10 +453,19 @@ func (e *Engine) recover() error {
 
 	// 4. Install the seal sink before replaying, so blocks that seal during
 	// replay spill to fresh segments exactly as live ones do and recovery's
-	// resident memory stays bounded too.
+	// resident memory stays bounded too. Each writer starts out knowing
+	// what its shard's segments cover per meter, the count its checkpoints
+	// record.
 	e.segs = make([]*segmentWriter, shards)
 	for i := range e.segs {
-		e.segs[i] = &segmentWriter{eng: e, shard: i, seq: nextSeq[i], cap: e.opts.SegmentBytes}
+		sw := &segmentWriter{eng: e, shard: i, seq: nextSeq[i], cap: e.opts.SegmentBytes,
+			covered: make(map[uint64]int64), held: make(map[uint64][]server.SealedBlock)}
+		for m, mr := range logs[i].meters {
+			if mr.skip > 0 {
+				sw.covered[m] = mr.skip
+			}
+		}
+		e.segs[i] = sw
 	}
 	e.store.SetSealSink(e)
 
@@ -407,15 +481,30 @@ func (e *Engine) recover() error {
 	}
 	e.recovered.Replay = time.Since(start)
 
-	// 6. Open the current generation's logs for appending (older
-	// generations stay closed — they are replay-only history).
+	// 6. Open each shard's newest live generation for appending — a shard
+	// with none starts one at its floor. Older generations stay closed:
+	// they are replay-only history.
 	e.wals = make([]atomic.Pointer[wal], shards)
+	created := false
 	for i := 0; i < shards; i++ {
-		f, err := e.fs.OpenFile(e.walGenPath(i, e.man.WALGen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		gen := e.man.WALFloor[i]
+		if n := len(live[i]); n > 0 {
+			gen = live[i][n-1]
+		} else {
+			created = true
+		}
+		f, err := e.fs.OpenFile(e.walGenPath(i, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
-		e.wals[i].Store(newWAL(f, logs[i].valid))
+		e.wals[i].Store(newWAL(f, gen, logs[i].valid))
+	}
+	// A created log's name must outlive a power loss like the records
+	// acknowledged into it.
+	if created {
+		if err := e.fs.SyncDir(filepath.Join(e.opts.Dir, "wal")); err != nil {
+			return err
+		}
 	}
 
 	// 7. Hand each recovered meter its ingest state for live sessions,
@@ -424,11 +513,16 @@ func (e *Engine) recover() error {
 	for i := range logs {
 		for m, mr := range logs[i].meters {
 			if tl := mr.tables; len(tl) > 0 {
-				e.meters.Store(m, &meterMeta{epoch: len(tl) - 1, level: tl[len(tl)-1].Level(), seq: mr.seq})
+				e.meters.Store(m, &meterMeta{tables: tl, level: tl[len(tl)-1].Level(), seq: mr.seq})
 				e.recovered.Meters++
 			}
 		}
 	}
+
+	// 8. Segments that finished during the replay made their shards due a
+	// checkpoint. A failed one leaves the replayed generations live, which
+	// is where they already were.
+	_ = e.checkpoint(e.allShards())
 	return nil
 }
 
@@ -449,8 +543,9 @@ type shardLog struct {
 // walFile is one generation of a shard's log as read from disk.
 type walFile struct {
 	path    string
+	gen     uint64
 	raw     []byte
-	current bool  // the manifest's generation: the one appends continue
+	current bool  // the newest live generation: the one appends continue
 	valid   int64 // intact prefix length
 	torn    bool  // bytes past valid are a torn tail to truncate
 }
@@ -463,6 +558,7 @@ type meterReplay struct {
 	installed int                  // tables the segment restore installed
 	pushed    int                  // table records replayed so far: the epoch + 1
 	seq       uint64               // highest sequence number logged
+	ckpt      *checkpoint          // the meter's checkpoint, when its log has one
 }
 
 func (sl *shardLog) meter(m uint64) *meterReplay {
@@ -500,7 +596,8 @@ func forEachShard(n int, fn func(shard int) error) error {
 
 // verify parses the shard's log generations — each file tolerates its own
 // torn tail, damage anywhere else is corruption — and collects every
-// meter's table history, which the segment restore needs up front.
+// meter's table history, which the segment restore needs up front, from its
+// checkpoint and table records.
 func (sl *shardLog) verify(st *server.Store, shard int) error {
 	for fi := range sl.files {
 		f := &sl.files[fi]
@@ -518,12 +615,29 @@ func (sl *shardLog) verify(st *server.Store, shard int) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", f.path, err)
 			}
-			if typ != recTable {
+			var m uint64
+			var tables []*symbolic.Table
+			switch typ {
+			case recTable:
+				var t *symbolic.Table
+				if m, t, err = decodeTable(data); err != nil {
+					return fmt.Errorf("%s: %w", f.path, err)
+				}
+				tables = []*symbolic.Table{t}
+			case recCheckpoint:
+				ck, err := decodeCheckpoint(data)
+				if err != nil {
+					return fmt.Errorf("%s: %w", f.path, err)
+				}
+				m, tables = ck.meterID, ck.tables
+				// A checkpoint replaces everything its meter logged before
+				// it, so it must come first: replay cannot rewind a meter.
+				if mr := sl.meters[m]; mr != nil && (len(mr.tables) > 0 || mr.ckpt != nil) {
+					return fmt.Errorf("%w: %s: checkpoint for meter %d after its other records", ErrWALCorrupt, f.path, m)
+				}
+				sl.meter(m).ckpt = ck
+			default:
 				continue
-			}
-			m, t, err := decodeTable(data)
-			if err != nil {
-				return fmt.Errorf("%s: %w", f.path, err)
 			}
 			// A meter logged in another shard's file means the files were
 			// swapped; replaying it here would race that shard's replay.
@@ -531,7 +645,7 @@ func (sl *shardLog) verify(st *server.Store, shard int) error {
 				return fmt.Errorf("%w: %s holds a table for meter %d of shard %d", ErrWALCorrupt, f.path, m, st.ShardFor(m))
 			}
 			mr := sl.meter(m)
-			mr.tables = append(mr.tables, t)
+			mr.tables = append(mr.tables, tables...)
 		}
 	}
 	return nil
@@ -539,13 +653,15 @@ func (sl *shardLog) verify(st *server.Store, shard int) error {
 
 // replayShard restores the shard's sealed chains, then replays its log
 // through the normal ingest path, skipping each meter's segment-covered
-// prefix. A batch the segments fully cover is handled from its header
-// alone — validated, its sequence number and epoch tracked, its points
-// counted as skipped — and never unpacked; only each meter's one partially
-// covered batch and the uncovered tail decode and append. Sequenced records
-// ('t'/'b') replay like their legacy twins and also advance the meter's
-// sequence high-water mark, skipped batches included: those were committed
-// too.
+// prefix. A checkpoint restarts its meter from the covered points it counts:
+// its tables are pushed as its blocks reach their epochs, and its blocks
+// replay like batches. A batch the segments fully cover is handled from its
+// header alone — validated, its sequence number and epoch tracked, its
+// points counted as skipped — and never unpacked; only each meter's one
+// partially covered batch or block and the uncovered tail decode and
+// append. Sequenced records ('t'/'b') replay like their legacy twins and
+// also advance the meter's sequence high-water mark, skipped batches
+// included: those were committed too.
 func (e *Engine) replayShard(shard int, sl *shardLog) error {
 	// Only the tables the restored blocks reference are installed here; the
 	// replay pushes the rest in order.
@@ -584,13 +700,42 @@ func (e *Engine) replayShard(shard int, sl *shardLog) error {
 			m := binary.BigEndian.Uint64(data)
 			mr := sl.meters[m]
 			mr.seq = max(mr.seq, seq)
-			mr.pushed++
-			if mr.pushed > mr.installed {
-				if err := e.ensureMeter(m); err != nil {
+			if err := e.pushReplayed(m, mr); err != nil {
+				return err
+			}
+		case recCheckpoint:
+			// verify decoded the checkpoint and made sure it is its meter's
+			// first record.
+			m := binary.BigEndian.Uint64(data)
+			mr := sl.meters[m]
+			ck := mr.ckpt
+			if mr.skip < ck.covered {
+				return fmt.Errorf("%w: meter %d checkpoint counts %d segment-covered points, the segments hold %d", ErrWALCorrupt, m, ck.covered, mr.skip)
+			}
+			mr.skip -= ck.covered
+			sl.skipped += ck.covered
+			mr.seq = max(mr.seq, ck.seq)
+			for bi := range ck.blocks {
+				b := &ck.blocks[bi]
+				for mr.pushed <= b.epoch {
+					if err := e.pushReplayed(m, mr); err != nil {
+						return err
+					}
+				}
+				if b.epoch != mr.pushed-1 {
+					return fmt.Errorf("%w: meter %d checkpoint block under epoch %d after epoch %d", ErrWALCorrupt, m, b.epoch, mr.pushed-1)
+				}
+				if mr.skipWhole(sl, b.n) {
+					continue
+				}
+				ptsScratch, symScratch = b.points(ptsScratch, symScratch)
+				if err := e.appendReplayed(sl, m, mr, ptsScratch); err != nil {
 					return err
 				}
-				if err := e.store.PushTable(m, mr.tables[mr.pushed-1]); err != nil {
-					return replayErr(err)
+			}
+			for mr.pushed < len(ck.tables) {
+				if err := e.pushReplayed(m, mr); err != nil {
+					return err
 				}
 			}
 		case recBatch:
@@ -603,25 +748,16 @@ func (e *Engine) replayShard(shard int, sl *shardLog) error {
 			if int(br.epoch) != mr.pushed-1 {
 				return fmt.Errorf("%w: meter %d batch under epoch %d, log position implies %d", ErrWALCorrupt, br.meterID, br.epoch, mr.pushed-1)
 			}
-			if n := int64(br.count); mr.skip >= n {
-				mr.skip -= n
-				sl.skipped += n
+			if mr.skipWhole(sl, br.count) {
 				continue
 			}
 			br, ptsScratch, symScratch, err = decodeBatch(data, ptsScratch, symScratch)
 			if err != nil {
 				return fmt.Errorf("shard %d wal: %w", shard, err)
 			}
-			pts := br.pts[mr.skip:]
-			sl.skipped += mr.skip
-			mr.skip = 0
-			if err := e.ensureMeter(br.meterID); err != nil {
+			if err := e.appendReplayed(sl, br.meterID, mr, br.pts); err != nil {
 				return err
 			}
-			if _, err := e.store.Append(br.meterID, pts); err != nil {
-				return replayErr(err)
-			}
-			sl.replayed += int64(len(pts))
 		default:
 			return fmt.Errorf("%w: unknown record type %#x in shard %d wal", ErrWALCorrupt, rec.typ, shard)
 		}
@@ -632,6 +768,52 @@ func (e *Engine) replayShard(shard int, sl *shardLog) error {
 		if mr.skip > 0 {
 			return fmt.Errorf("%w: meter %d segments hold %d points past the end of the log", ErrWALCorrupt, m, mr.skip)
 		}
+	}
+	return nil
+}
+
+// skipWhole passes n points the segments fully cover, reporting whether it
+// did; otherwise the points must be unpacked and appended.
+func (mr *meterReplay) skipWhole(sl *shardLog, n int) bool {
+	if mr.skip < int64(n) {
+		return false
+	}
+	mr.skip -= int64(n)
+	sl.skipped += int64(n)
+	return true
+}
+
+// appendReplayed appends the points of a batch or checkpoint block past the
+// segment-covered ones still to skip.
+func (e *Engine) appendReplayed(sl *shardLog, m uint64, mr *meterReplay, pts []symbolic.SymbolPoint) error {
+	pts = pts[mr.skip:]
+	sl.skipped += mr.skip
+	mr.skip = 0
+	if err := e.ensureMeter(m); err != nil {
+		return err
+	}
+	if _, err := e.store.Append(m, pts); err != nil {
+		return replayErr(err)
+	}
+	sl.replayed += int64(len(pts))
+	return nil
+}
+
+// pushReplayed replays the meter's next table push; the segment restore
+// already installed the first mr.installed.
+func (e *Engine) pushReplayed(m uint64, mr *meterReplay) error {
+	mr.pushed++
+	if mr.pushed <= mr.installed {
+		return nil
+	}
+	if mr.pushed > len(mr.tables) {
+		return fmt.Errorf("%w: meter %d pushes table %d of %d", ErrWALCorrupt, m, mr.pushed, len(mr.tables))
+	}
+	if err := e.ensureMeter(m); err != nil {
+		return err
+	}
+	if err := e.store.PushTable(m, mr.tables[mr.pushed-1]); err != nil {
+		return replayErr(err)
 	}
 	return nil
 }
@@ -686,19 +868,25 @@ func (e *Engine) ensureMeter(meterID uint64) error {
 // NOT a seal failure: the WAL already covers every point in the block, so
 // the engine keeps the heap payload, counts the fallback, and lets the
 // probe re-enable spilling when the directory recovers. Ingest keeps its
-// durability promise either way.
+// durability promise either way. Segments must hold a prefix of each
+// meter's chain — the prefix recovery restores and a checkpoint counts as
+// covered — so a meter's blocks that stayed on the heap are held, and once
+// spilling works again they spill, oldest first, before its next block.
 func (e *Engine) SealedBlock(meterID uint64, blk server.SealedBlock) ([]byte, error) {
-	if e.health.spillDisabled.Load() {
-		e.health.spillFallbacks.Add(1)
-		return blk.Payload, nil
-	}
-	adopted, err := e.segs[e.store.ShardFor(meterID)].SealedBlock(meterID, blk)
-	if err != nil {
+	sw := e.segs[e.store.ShardFor(meterID)]
+	if !e.health.spillDisabled.Load() {
+		err := sw.spillHeld(meterID)
+		if err == nil {
+			var adopted []byte
+			if adopted, err = sw.SealedBlock(meterID, blk); err == nil {
+				return adopted, nil
+			}
+		}
 		e.disableSpill(err)
-		e.health.spillFallbacks.Add(1)
-		return blk.Payload, nil
 	}
-	return adopted, nil
+	sw.held[meterID] = append(sw.held[meterID], blk)
+	e.health.spillFallbacks.Add(1)
+	return blk.Payload, nil
 }
 
 // --- sessions (server.Ingest) and unsequenced in-process writes ----------
@@ -738,6 +926,9 @@ func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
 		return fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
 	}
 	shard := e.store.ShardFor(meterID)
+	defer e.checkpointIfDue(shard)
+	e.gates[shard].mu.RLock()
+	defer e.gates[shard].mu.RUnlock()
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
 		return w.appendTable(meterID, t)
 	}); err != nil {
@@ -746,9 +937,9 @@ func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
 	if err := e.store.PushTable(meterID, t); err != nil {
 		return err
 	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{epoch: -1})
+	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{})
 	mm := v.(*meterMeta)
-	mm.epoch++
+	mm.tables = append(mm.tables, t)
 	mm.level = t.Level()
 	return nil
 }
@@ -782,8 +973,11 @@ func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
 		}
 	}
 	shard := e.store.ShardFor(meterID)
+	defer e.checkpointIfDue(shard)
+	e.gates[shard].mu.RLock()
+	defer e.gates[shard].mu.RUnlock()
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatch(meterID, uint32(mm.epoch), mm.level, pts)
+		return w.appendBatch(meterID, uint32(mm.epoch()), mm.level, pts)
 	}); err != nil {
 		return 0, err
 	}
@@ -837,6 +1031,9 @@ func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, err
 		return false, r.err
 	}
 	shard := e.store.ShardFor(meterID)
+	defer e.checkpointIfDue(shard)
+	e.gates[shard].mu.RLock()
+	defer e.gates[shard].mu.RUnlock()
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
 		return w.appendTableSeq(meterID, seq, t)
 	}); err != nil {
@@ -845,9 +1042,9 @@ func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, err
 	if err := e.store.PushTable(meterID, t); err != nil {
 		return false, err
 	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{epoch: -1})
+	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{})
 	mm := v.(*meterMeta)
-	mm.epoch++
+	mm.tables = append(mm.tables, t)
 	mm.level = t.Level()
 	mm.seq = seq
 	return false, nil
@@ -887,8 +1084,11 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 		}
 	}
 	shard := e.store.ShardFor(meterID)
+	defer e.checkpointIfDue(shard)
+	e.gates[shard].mu.RLock()
+	defer e.gates[shard].mu.RUnlock()
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatchSeq(meterID, seq, uint32(mm.epoch), mm.level, pts)
+		return w.appendBatchSeq(meterID, seq, uint32(mm.epoch()), mm.level, pts)
 	}); err != nil {
 		return 0, false, err
 	}
@@ -900,12 +1100,12 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 }
 
 // walAppend writes one record through the shard's current log and, under
-// SyncAlways, waits for its covering fsync, classifying failures:
+// SyncAlways, waits for its covering fsync, classifying failures. The
+// caller holds the shard's gate, so the log cannot rotate under the write.
 //
-//   - write fails on the CURRENT log → the durability layer is broken:
-//     degrade and return the typed refusal.
-//   - write refused because the log was poisoned AND a heal has already
-//     rotated a replacement in → retry on the fresh log.
+//   - write fails → the durability layer is broken: degrade and return the
+//     typed refusal. (A log poisoned by an earlier failure refuses too; a
+//     heal replaces it before ingest is readmitted.)
 //   - fsync fails → the record's durability is unknowable and the fsyncgate
 //     rule forbids retrying the fsync (the kernel may have dropped the
 //     dirty pages — a second, succeeding fsync would cover nothing): fail
@@ -914,54 +1114,42 @@ func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int
 //     exactly the contract of an *unacknowledged* write (at-most-once is
 //     the client's retry discipline, the store never acks it twice).
 func (e *Engine) walAppend(shard int, write func(*wal) (int64, error)) (int64, error) {
-	for {
-		w := e.wals[shard].Load()
-		start := time.Now()
-		end, err := write(w)
-		e.met.walAppendLat.Since(start)
+	w := e.wals[shard].Load()
+	start := time.Now()
+	end, err := write(w)
+	e.met.walAppendLat.Since(start)
+	if err != nil {
+		if !errors.Is(err, errWALPoisoned) {
+			e.health.walWriteFailures.Add(1)
+		}
+		e.degrade("wal append", err)
+		if r := e.health.refuse.Load(); r != nil {
+			return 0, r.err
+		}
+		return 0, err
+	}
+	if e.opts.Sync == SyncAlways {
+		syncStart := time.Now()
+		err := w.syncTo(end)
+		e.met.fsyncLat.Since(syncStart)
 		if err != nil {
-			if e.wals[shard].Load() != w {
-				// Rotated mid-append. A poisoned refusal retries on the
-				// fresh log; a genuine write error on the retired log does
-				// not implicate the new one — fail just this batch.
-				if errors.Is(err, errWALPoisoned) {
-					continue
-				}
-				return 0, err
-			}
-			if !errors.Is(err, errWALPoisoned) {
-				e.health.walWriteFailures.Add(1)
-			}
-			e.degrade("wal append", err)
-			if r := e.health.refuse.Load(); r != nil {
-				return 0, r.err
-			}
+			e.health.fsyncFailures.Add(1)
+			e.degrade("wal fsync", err)
 			return 0, err
 		}
-		if e.opts.Sync == SyncAlways {
-			syncStart := time.Now()
-			err := w.syncTo(end)
-			e.met.fsyncLat.Since(syncStart)
-			if err != nil {
-				if e.wals[shard].Load() == w {
-					e.health.fsyncFailures.Add(1)
-					e.degrade("wal fsync", err)
-				}
-				return 0, err
-			}
-		}
-		return end, nil
 	}
+	return end, nil
 }
 
 // --- Flush / Close --------------------------------------------------------
 
 // Flush makes everything committed so far durable and fast to recover:
-// every WAL is fsynced and every open segment is finished into the manifest
+// every WAL is fsynced, every open segment is finished into the manifest
 // (so the next Open restores sealed data from footers instead of replaying
-// it). The store stays fully usable afterwards — published blocks keep
-// aliasing their mappings and the next seal opens a fresh segment. Ingest
-// must be quiesced while Flush runs.
+// it), and the shards whose segments finished rotate their logs onto a
+// checkpoint. The store stays fully usable afterwards — published blocks
+// keep aliasing their mappings and the next seal opens a fresh segment.
+// Ingest must be quiesced while Flush runs.
 func (e *Engine) Flush() error {
 	var errs []error
 	for i := range e.wals {
@@ -970,14 +1158,26 @@ func (e *Engine) Flush() error {
 		}
 	}
 	for _, sw := range e.segs {
+		// Held blocks spill first, so the checkpoint after the finish need
+		// not carry them. Failing to is a spill failure, not a flush one:
+		// the logs still cover them.
+		if !e.health.spillDisabled.Load() {
+			for _, m := range slices.Sorted(maps.Keys(sw.held)) {
+				if err := sw.spillHeld(m); err != nil {
+					e.disableSpill(err)
+					break
+				}
+			}
+		}
 		errs = append(errs, sw.finish())
 	}
+	errs = append(errs, e.checkpoint(e.allShards()))
 	return errors.Join(errs...)
 }
 
-// Close flushes, closes the log files (current and retired) and releases
-// the segment mappings. The store must not be queried afterwards: spilled
-// blocks alias the mappings Close unmaps.
+// Close flushes, closes the logs and releases the segment mappings. The
+// store must not be queried afterwards: spilled blocks alias the mappings
+// Close unmaps.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
@@ -992,12 +1192,6 @@ func (e *Engine) Close() error {
 			errs = append(errs, w.close())
 		}
 	}
-	e.retiredMu.Lock()
-	for _, w := range e.retired {
-		errs = append(errs, w.close())
-	}
-	e.retired = nil
-	e.retiredMu.Unlock()
 	e.releaseMaps()
 	return errors.Join(errs...)
 }
@@ -1016,24 +1210,248 @@ func (e *Engine) Abandon() {
 		close(e.stop)
 		e.syncWG.Wait()
 	}
-	for i := range e.wals {
-		if w := e.wals[i].Load(); w != nil {
-			w.close()
+	e.unwind()
+}
+
+// --- log rotation ----------------------------------------------------------
+
+func (e *Engine) allShards() []int {
+	all := make([]int, len(e.gates))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// checkpointIfDue runs the checkpoint a write's segment finish made due,
+// after the write released the shard's gate. Its error is dropped: the
+// older generations simply stay live until the next finished segment tries
+// again.
+func (e *Engine) checkpointIfDue(shard int) {
+	if e.gates[shard].due.Load() {
+		_ = e.checkpoint([]int{shard})
+	}
+}
+
+// checkpoint rotates each of shards (ascending) that is due onto a fresh
+// log generation opening with its checkpoint, all under one manifest
+// barrier. A shard whose checkpoint cannot be built keeps its generations.
+// Nothing rotates while the engine is not healthy — a heal owns the logs
+// then — and the shards stay due, so their first write after the heal
+// checkpoints them.
+func (e *Engine) checkpoint(shards []int) error {
+	var due []int
+	for _, i := range shards {
+		g := &e.gates[i]
+		if !g.due.Load() {
+			continue
+		}
+		// Only a segment finish sets due, and it runs inside a write that
+		// holds the gate, so under the exclusive gate due cannot change.
+		g.mu.Lock()
+		if g.due.Load() {
+			due = append(due, i)
+		} else {
+			g.mu.Unlock()
 		}
 	}
-	e.retiredMu.Lock()
-	for _, w := range e.retired {
-		w.close()
+	defer func() {
+		for _, i := range due {
+			e.gates[i].mu.Unlock()
+		}
+	}()
+	if len(due) == 0 || e.health.refuse.Load() != nil {
+		return nil
 	}
-	e.retired = nil
-	e.retiredMu.Unlock()
-	for _, sw := range e.segs {
-		if sw != nil && sw.f != nil {
-			sw.f.Close()
-			sw.f = nil
+	for _, i := range due {
+		e.gates[i].due.Store(false)
+	}
+	var errs []error
+	var ready []int
+	var ckpts [][]byte
+	for _, i := range due {
+		ck, err := e.encodeCheckpoint(i)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		ready = append(ready, i)
+		ckpts = append(ckpts, ck)
+	}
+	if len(ready) > 0 {
+		errs = append(errs, e.rotate(ready, ckpts))
+	}
+	return errors.Join(errs...)
+}
+
+// encodeCheckpoint builds the shard's checkpoint: one 'C' record per meter
+// with a table, carrying the blocks after the points the shard's segments
+// cover. The caller holds the shard's gate exclusively, so the store, the
+// meters' ingest state and the covered counts agree with each other and
+// with the logs the checkpoint replaces.
+func (e *Engine) encodeCheckpoint(shard int) ([]byte, error) {
+	covered := e.segs[shard].covered
+	var buf []byte
+	var views []server.BlockView
+	for _, m := range e.store.ShardMeters(shard) {
+		v, ok := e.meters.Load(m.ID())
+		if !ok {
+			continue // no table yet: nothing of the meter is durable
+		}
+		mm := v.(*meterMeta)
+		ck := checkpoint{meterID: m.ID(), seq: mm.seq, covered: covered[m.ID()], tables: mm.tables}
+		var tail *ckptBlock
+		views = m.CollectRange(math.MinInt64, math.MaxInt64, views[:0], func(bv server.BlockView) {
+			b := blockOf(bv)
+			b.packed = slices.Clone(b.packed) // a tail view must not outlive the callback
+			tail = &b
+		})
+		var at int64
+		next := 0
+		for ; next < len(views) && at < ck.covered; next++ {
+			at += int64(views[next].N)
+		}
+		if at != ck.covered {
+			return nil, fmt.Errorf("storage: meter %d: segments cover %d points, not a block prefix of its %d", m.ID(), ck.covered, m.TotalSymbols())
+		}
+		for _, bv := range views[next:] {
+			ck.blocks = append(ck.blocks, blockOf(bv))
+			at += int64(bv.N)
+		}
+		if tail != nil {
+			ck.blocks = append(ck.blocks, *tail)
+			at += int64(tail.n)
+		}
+		if at != int64(m.TotalSymbols()) {
+			return nil, fmt.Errorf("storage: meter %d: checkpoint reaches %d of %d points", m.ID(), at, m.TotalSymbols())
+		}
+		var err error
+		if buf, err = appendCheckpoint(buf, &ck); err != nil {
+			return nil, err
 		}
 	}
-	e.releaseMaps()
+	return buf, nil
+}
+
+func blockOf(bv server.BlockView) ckptBlock {
+	used := (bv.N*bv.Level + 7) / 8
+	return ckptBlock{epoch: bv.Epoch, level: bv.Level, n: bv.N, firstT: bv.FirstT, stride: bv.Stride, packed: bv.Payload[:used]}
+}
+
+// rotate moves shards (ascending) onto the next log generation. It is the
+// one way a generation starts, shared by checkpoints and heals:
+//
+//  1. create each shard's file at the new generation; with ckpts, write the
+//     shard's checkpoint into it and fsync it;
+//  2. fsync the log directory, so the new files' names survive a power
+//     loss before any manifest points at them;
+//  3. commit the manifest: the new generation exists once this lands, and
+//     with ckpts the listed shards' floors move up to it. Until then the new
+//     files are orphans recovery deletes;
+//  4. swap each shard's log to the new file and close the old one;
+//  5. with ckpts, unlink the generations below the new floors once the
+//     manifest is durable. A failed unlink is retried at the shard's next
+//     checkpoint, and recovery deletes whatever lies below a floor.
+//
+// A manifest that was renamed into place but not made durable swaps the
+// logs, unlinks nothing and degrades the engine: writes acknowledged into a
+// generation the previous manifest does not know would be lost if power
+// loss brought that manifest back, so ingest waits for a heal to write a
+// durable one.
+//
+// A heal passes no checkpoints: its generations start empty and the old
+// ones stay live as replay history. The caller holds every listed shard's
+// gate exclusively, so no write straddles the swap.
+func (e *Engine) rotate(shards []int, ckpts [][]byte) error {
+	e.manMu.Lock()
+	defer e.manMu.Unlock()
+	gen := e.man.WALGen + 1
+	files := make([]File, 0, len(shards))
+	abort := func(err error) error {
+		for j, f := range files {
+			f.Close()
+			e.fs.Remove(e.walGenPath(shards[j], gen))
+		}
+		return err
+	}
+	for j, i := range shards {
+		f, err := e.fs.OpenFile(e.walGenPath(i, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+		if err != nil {
+			return abort(err)
+		}
+		files = append(files, f)
+		if ckpts == nil {
+			continue
+		}
+		if _, err := f.Write(ckpts[j]); err != nil {
+			return abort(err)
+		}
+	}
+	// The checkpoints' fsyncs overlap: a Close that checkpoints every shard
+	// would otherwise wait out one journal commit per shard in turn.
+	if ckpts != nil {
+		if err := forEachShard(len(files), func(j int) error { return files[j].Sync() }); err != nil {
+			return abort(err)
+		}
+	}
+	if err := e.fs.SyncDir(filepath.Join(e.opts.Dir, "wal")); err != nil {
+		return abort(err)
+	}
+
+	prev := e.man
+	e.man.WALGen = gen
+	if ckpts != nil {
+		e.man.WALFloor = slices.Clone(prev.WALFloor)
+		for _, i := range shards {
+			e.man.WALFloor[i] = gen
+		}
+	}
+	err := writeManifest(e.fs, e.opts.Dir, e.man)
+	if err != nil && !errors.Is(err, errManifestUnsynced) {
+		e.man = prev
+		return abort(err)
+	}
+	// From here the new manifest is the one a restart reads. Unless it is
+	// also durable, the old generations are kept: power loss could bring
+	// the previous manifest back.
+	e.walGen.Store(gen)
+	if err != nil {
+		e.degrade("manifest", err)
+	}
+
+	for j, i := range shards {
+		var start int64
+		if ckpts != nil {
+			start = int64(len(ckpts[j]))
+		}
+		old := e.wals[i].Swap(newWAL(files[j], gen, start))
+		if ckpts == nil {
+			// The old log stays replay history, so one last best-effort
+			// fsync narrows the SyncOff/Group OS-crash window. Errors are
+			// expected — it lives on the device that just failed — and
+			// change nothing: its records up to any tear replay fine.
+			_ = old.syncTo(old.written.Load())
+		}
+		// A failed close loses nothing: what the old log holds is durable,
+		// replayed from disk, or in the checkpoint.
+		_ = old.close()
+		size := old.written.Load()
+		e.older[i] = append(e.older[i], walGenFile{gen: old.gen, size: size})
+		e.walOlder.Add(size)
+		if ckpts == nil || err != nil {
+			continue
+		}
+		kept := e.older[i][:0]
+		for _, g := range e.older[i] {
+			if err := e.fs.Remove(e.walGenPath(i, g.gen)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				kept = append(kept, g)
+				continue
+			}
+			e.walOlder.Add(-g.size)
+		}
+		e.older[i] = kept
+	}
+	return err
 }
 
 func (e *Engine) trackMapping(m []byte) {

@@ -27,17 +27,22 @@ import (
 //	                           heap-resident payload (the WAL still covers
 //	                           every point), spillFallbacks counts it, and
 //	                           the probe re-enables spilling when the
-//	                           directory recovers.
+//	                           directory recovers; the blocks held on the
+//	                           heap meanwhile spill before their meters'
+//	                           next ones.
 //	manifest-replace failure → retried with capped backoff inside
 //	                           addSegment; only repeated failure degrades
 //	                           (the segment stays unmanifested — an orphan
 //	                           recovery deletes, with the WAL as cover).
+//	                           A log rotation's manifest that was renamed
+//	                           but not made durable degrades at once.
 //
 // States: Healthy → Degraded → Recovering → Healthy. A background probe
 // re-tests the data directory while Degraded; on success the engine rotates
 // every shard to a fresh WAL generation (never appending behind a possibly
 // torn tail), activates the generation through a manifest write, and only
-// then re-admits ingest. A failure during the Recovering rotation drops
+// then re-admits ingest. Checkpoint rotations (engine.go) wait while the
+// engine is not Healthy. A failure during the Recovering rotation drops
 // back to Degraded with the new reason.
 
 // HealthState is the engine's coarse condition.
@@ -85,7 +90,7 @@ type Health struct {
 	ManifestFailures uint64 // manifest writes that exhausted retries
 	Probes           uint64 // background directory probes attempted
 	Heals            uint64 // Degraded → Healthy round trips completed
-	WALGen           uint64 // current WAL generation (0 = original logs)
+	WALGen           uint64 // newest WAL generation (0 = original logs; every rotation bumps it)
 }
 
 // refusal is the prebuilt error ingest returns while degraded; one pointer
@@ -155,9 +160,9 @@ func (e *Engine) degrade(class string, cause error) {
 // heal attempts the Degraded → Recovering → Healthy transition: rotate
 // every shard to a fresh WAL generation (activated by a manifest write) and
 // re-admit ingest. Called from the probe loop after a successful directory
-// probe. The rotation runs outside h.mu — it takes the manifest lock, and
-// failure paths (addSegment degrading) take h.mu under it, so holding h.mu
-// here would invert that order.
+// probe. The rotation runs outside h.mu — it takes the shard gates and the
+// manifest lock, and failure paths (addSegment degrading) take h.mu under
+// those, so holding h.mu here would invert that order.
 func (e *Engine) heal() {
 	h := &e.health
 	h.mu.Lock()
@@ -262,62 +267,15 @@ func (e *Engine) probeDir() error {
 	return e.fs.Remove(path)
 }
 
-// rotateWALs opens a fresh log file for every shard at the next WAL
-// generation, activates the generation with a manifest write (the barrier:
-// a crash before it leaves the new files as deletable orphans, a crash
-// after it replays them), and swaps the shard pointers. Old logs are
-// retired, not closed — in-flight appends and the group syncer may still
-// hold them — and get a best-effort final fsync for whatever they durably
-// hold; Close reaps them.
+// rotateWALs moves every shard onto a fresh, empty WAL generation — never
+// appending behind a possibly torn tail — through the same rotation a
+// checkpoint uses, without one: the old generations stay live as replay
+// history. It waits for in-flight writes by taking every shard's gate.
 func (e *Engine) rotateWALs() error {
-	gen := e.walGen.Load() + 1
-	files := make([]File, len(e.wals))
-	for i := range files {
-		f, err := e.fs.OpenFile(e.walGenPath(i, gen), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-		if err != nil {
-			for _, g := range files[:i] {
-				g.Close()
-			}
-			for j := 0; j < i; j++ {
-				e.fs.Remove(e.walGenPath(j, gen))
-			}
-			return err
-		}
-		files[i] = f
+	all := e.allShards()
+	for _, i := range all {
+		e.gates[i].mu.Lock()
+		defer e.gates[i].mu.Unlock()
 	}
-
-	// Manifest barrier: the generation exists once this lands, and replay
-	// will read the new files. Until then they are orphans recovery deletes.
-	e.manMu.Lock()
-	prev := e.man.WALGen
-	e.man.WALGen = gen
-	err := writeManifest(e.fs, e.opts.Dir, e.man)
-	if err != nil {
-		e.man.WALGen = prev
-	}
-	e.manMu.Unlock()
-	if err != nil {
-		for i, f := range files {
-			f.Close()
-			e.fs.Remove(e.walGenPath(i, gen))
-		}
-		return err
-	}
-	e.walGen.Store(gen)
-
-	e.retiredMu.Lock()
-	for i, f := range files {
-		old := e.wals[i].Swap(newWAL(f, 0))
-		if old != nil {
-			// Whatever the old log durably holds is still its replay
-			// prefix; one last best-effort fsync narrows the SyncOff/Group
-			// OS-crash window. Errors are expected here — the log lives on
-			// the failed device — and change nothing: its records up to any
-			// tear replay fine, and new ingest goes to the new generation.
-			_ = old.syncTo(old.written.Load())
-			e.retired = append(e.retired, old)
-		}
-	}
-	e.retiredMu.Unlock()
-	return nil
+	return e.rotate(all, nil)
 }

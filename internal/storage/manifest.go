@@ -10,13 +10,16 @@ import (
 
 // The manifest is the data directory's root pointer: a small JSON document
 // naming every finished segment (in spill order per shard) plus the on-disk
-// format version, the shard count the directory was created with, and the
-// current WAL generation (bumped whenever a degraded-mode heal rotates the
-// logs — see health.go). Recovery trusts only manifest-listed segments — an
-// open segment at crash time has no footer and is deleted, its blocks
-// re-derived from the WAL — and only WAL generations the manifest has
-// activated: generation files above wal_gen were created by a heal that
-// crashed before its manifest barrier landed and are deleted unread.
+// format version, the shard count the directory was created with, the
+// newest WAL generation (bumped by every log rotation — a shard's
+// checkpoint or a degraded-mode heal, see engine.go and health.go) and each
+// shard's oldest live generation. Recovery trusts only manifest-listed
+// segments — an open segment at crash time has no footer and is deleted,
+// its blocks re-derived from the WAL — and only the log generations the
+// manifest holds live: generation files above wal_gen were created by a
+// rotation that crashed before its manifest barrier landed, and files below
+// a shard's floor were superseded by the checkpoint at the floor; both are
+// deleted unread.
 //
 // Updates are atomic: write to a temp file, fsync, rename over
 // MANIFEST.json, fsync the directory. A crash leaves either the old or the
@@ -43,9 +46,19 @@ import (
 //	   exists so a format-2 binary refuses the directory loudly instead of
 //	   reporting the unknown record types as WAL corruption. Formats 1 and 2
 //	   migrate forward without rewriting any log.
+//	4: adds wal_floor — each shard's oldest live WAL generation — and the
+//	   checkpoint record type 'C' (wal.go). When a shard's open segment
+//	   finishes, the shard's log rotates: a new generation opens with one
+//	   checkpoint record per meter, the manifest moves the shard's floor to
+//	   it, and the generations below are unlinked, so replay reads from the
+//	   floor only. wal_gen becomes the newest generation of any shard (a
+//	   shard's own newest generation may be lower). Formats 1–3 migrate
+//	   forward with every floor at 0, which reads every generation exactly
+//	   as those formats did; a format-3 binary refuses a format-4 directory
+//	   by the rule above.
 const (
 	manifestName   = "MANIFEST.json"
-	manifestFormat = 3
+	manifestFormat = 4
 )
 
 // ErrFormatTooNew reports a data directory written by a newer binary.
@@ -58,10 +71,19 @@ type manifestSegment struct {
 }
 
 type manifest struct {
-	Format   int               `json:"format"`
-	Shards   int               `json:"shards"`
-	WALGen   uint64            `json:"wal_gen,omitempty"`
+	Format int    `json:"format"`
+	Shards int    `json:"shards"`
+	WALGen uint64 `json:"wal_gen,omitempty"`
+	// WALFloor holds one entry per shard: the oldest log generation recovery
+	// reads for it (format ≥ 4).
+	WALFloor []uint64          `json:"wal_floor"`
 	Segments []manifestSegment `json:"segments"`
+}
+
+// newManifest is a fresh directory's manifest: every shard's log starts at
+// generation 0.
+func newManifest(shards int) manifest {
+	return manifest{Format: manifestFormat, Shards: shards, WALFloor: make([]uint64, shards)}
 }
 
 // loadManifest reads dir's manifest; ok is false when none exists (a fresh
@@ -75,14 +97,21 @@ func loadManifest(fsys FS, dir string) (m manifest, ok, migrated bool, err error
 	if err != nil {
 		return m, false, false, err
 	}
+	m, migrated, err = parseManifest(data, manifestFormat)
+	return m, err == nil, migrated, err
+}
+
+// parseManifest decodes a manifest for a reader that knows formats up to
+// newest, refusing newer ones and migrating older ones forward.
+func parseManifest(data []byte, newest int) (m manifest, migrated bool, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, false, false, fmt.Errorf("storage: %s: %w", manifestName, err)
+		return m, false, fmt.Errorf("storage: %s: %w", manifestName, err)
 	}
-	if m.Format > manifestFormat {
-		return m, false, false, fmt.Errorf("%w: format %d, this binary reads ≤ %d", ErrFormatTooNew, m.Format, manifestFormat)
+	if m.Format > newest {
+		return m, false, fmt.Errorf("%w: format %d, this binary reads ≤ %d", ErrFormatTooNew, m.Format, newest)
 	}
 	if m.Format < 1 || m.Shards < 1 {
-		return m, false, false, fmt.Errorf("storage: %s: implausible format %d / shards %d", manifestName, m.Format, m.Shards)
+		return m, false, fmt.Errorf("storage: %s: implausible format %d / shards %d", manifestName, m.Format, m.Shards)
 	}
 	if m.Format < manifestFormat {
 		if m.Format == 1 {
@@ -92,17 +121,32 @@ func loadManifest(fsys FS, dir string) (m manifest, ok, migrated bool, err error
 		}
 		// 2 → 3 changes no fields: format 3 only licenses the sequenced WAL
 		// record types, and a pre-sequencing log is a valid sequenced log
-		// with every high-water mark at 0.
+		// with every high-water mark at 0. 3 → 4 adds the floors: before
+		// checkpoints every generation from 0 up was live.
+		m.WALFloor = make([]uint64, m.Shards)
 		m.Format = manifestFormat
 		migrated = true
 	}
-	return m, true, migrated, nil
+	if len(m.WALFloor) != m.Shards {
+		return m, false, fmt.Errorf("storage: %s: %d WAL floors for %d shards", manifestName, len(m.WALFloor), m.Shards)
+	}
+	for i, f := range m.WALFloor {
+		if f > m.WALGen {
+			return m, false, fmt.Errorf("storage: %s: shard %d floor %d above wal_gen %d", manifestName, i, f, m.WALGen)
+		}
+	}
+	return m, migrated, nil
 }
 
-// writeManifest atomically replaces dir's manifest. On any failure the temp
-// file is removed (best effort): the previous manifest stays in place and
-// loadable, and no half-written temp survives to confuse an operator or a
-// later retry.
+// errManifestUnsynced reports a manifest replacement whose rename landed but
+// whose directory fsync failed: the new manifest is the one a restart
+// reads, but it may not survive power loss.
+var errManifestUnsynced = errors.New("storage: manifest renamed but directory fsync failed")
+
+// writeManifest atomically replaces dir's manifest. On any failure before
+// the rename the temp file is removed (best effort): the previous manifest
+// stays in place and loadable, and no half-written temp survives to confuse
+// an operator or a later retry. A failure after it is errManifestUnsynced.
 func writeManifest(fsys FS, dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -131,5 +175,8 @@ func writeManifest(fsys FS, dir string, m manifest) error {
 		fsys.Remove(tmp)
 		return err
 	}
-	return fsys.SyncDir(dir)
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("%w: %w", errManifestUnsynced, err)
+	}
+	return nil
 }

@@ -48,7 +48,7 @@ func (e *Engine) registerHealthMetrics() {
 			return 0
 		})
 	reg.GaugeFunc("symmeter_storage_wal_gen",
-		"Current WAL generation (0 = original logs; bumps on each heal rotation).",
+		"Newest WAL generation (0 = original logs; bumps on every log rotation: checkpoints and heals).",
 		func() float64 { return float64(e.walGen.Load()) })
 	reg.CounterFunc("symmeter_storage_wal_write_failures_total",
 		"WAL write failures (each degrades the engine).",
@@ -69,7 +69,7 @@ func (e *Engine) registerHealthMetrics() {
 		"Background directory probes attempted while degraded or spill-disabled.",
 		func() float64 { return float64(h.probes.Load()) })
 	reg.CounterFunc("symmeter_storage_heals_total",
-		"Degraded-to-healthy round trips completed (WAL generation rotations).",
+		"Degraded-to-healthy round trips completed (each rotates every shard's WAL).",
 		func() float64 { return float64(h.heals.Load()) })
 }
 
@@ -91,6 +91,26 @@ func (e *Engine) registerRecoveryMetrics() {
 			"Wall time of each recovery phase in Open: read_verify (read, CRC-check and truncate the logs), segment_load (map segments, decode footers), replay (restore sealed chains, replay the logs).",
 			func() float64 { return secs }, metrics.Label{Key: "phase", Value: p.phase})
 	}
+}
+
+// registerDiskMetrics exposes the data directory's WAL and segment bytes,
+// kept up to date as files grow, rotate and finish — no directory walk per
+// scrape. They match DiskUsage on a closed engine; while segments are open
+// they count the preallocated capacity, as DiskUsage does. Called once from
+// Open, after recovery built the logs the WAL gauge reads.
+func (e *Engine) registerDiskMetrics() {
+	e.met.reg.GaugeFunc("symmeter_storage_wal_bytes",
+		"Bytes in live WAL generations: each shard's checkpoint and the records after it, plus any generations a heal kept.",
+		func() float64 {
+			n := e.walOlder.Load()
+			for i := range e.wals {
+				n += e.wals[i].Load().written.Load()
+			}
+			return float64(n)
+		})
+	e.met.reg.GaugeFunc("symmeter_storage_segment_bytes",
+		"Bytes in segment files (open segments at their preallocated size).",
+		func() float64 { return float64(e.segBytes.Load()) })
 }
 
 // Metrics returns the engine's registry — the one Options.Metrics supplied,

@@ -50,7 +50,7 @@ func TestSwappedShardLogsFailLoudly(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := filepath.Join(dir, "wal", "shard-0000.wal"), filepath.Join(dir, "wal", "shard-0001.wal")
+	a, b := currentLog(t, dir, 0), currentLog(t, dir, 1)
 	tmp := filepath.Join(dir, "swap")
 	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
 		if err := os.Rename(mv[0], mv[1]); err != nil {
@@ -66,8 +66,11 @@ func TestSwappedShardLogsFailLoudly(t *testing.T) {
 // by header: the sequence high-water mark is rebuilt only from WAL records,
 // so a batch the segments cover must still advance it. Each case leaves the
 // meter's sequenced batches covered up to an exact batch boundary or part
-// way into one, closes, reopens, and checks the mark, duplicate suppression
-// and the next commit.
+// way into one, crashes after the segment finished but before its
+// checkpoint (so the log is whole and the batches are skipped by header),
+// reopens, and checks the mark, duplicate suppression and the next commit.
+// The last case shuts down cleanly instead, so the mark comes from the
+// checkpoint alone.
 func TestSegmentCoveredHighWaterMark(t *testing.T) {
 	table := testTable(t)
 	cases := []struct {
@@ -75,21 +78,31 @@ func TestSegmentCoveredHighWaterMark(t *testing.T) {
 		batch, n    int  // points per sequenced batch, sequenced batches
 		legacyAfter bool // an unsequenced batch follows, sealing the last block
 		replayed    int64
+		clean       bool // Close, which checkpoints, instead of a crash
 	}{
 		// 1024 points end on a block boundary; the last block is the live
 		// tail, so its 4 batches replay.
-		{"whole-blocks", 128, 8, false, 512},
+		{"whole-blocks", 128, 8, false, 512, false},
 		// One more point seals that block too: every sequenced batch is
 		// covered and the mark comes from skipped records alone.
-		{"all-covered", 128, 8, true, 1},
+		{"all-covered", 128, 8, true, 1, false},
 		// 576 points: batch 6 is covered for 32 points, replayed for 64.
-		{"partial-batch", 96, 6, false, 64},
+		{"partial-batch", 96, 6, false, 64, false},
+		// As all-covered, but the log rotated onto a checkpoint at Close.
+		{"checkpointed", 128, 8, true, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			const m = 7
-			eng := openTest(t, dir, SyncOff)
+			opts := Options{Dir: dir, Shards: 4, Sync: SyncOff, SegmentBytes: 64 << 10}
+			if !tc.clean {
+				opts.FS = noRotationFS{}
+			}
+			eng, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := eng.StartSession(m); err != nil {
 				t.Fatal(err)
 			}
@@ -114,15 +127,31 @@ func TestSegmentCoveredHighWaterMark(t *testing.T) {
 				}
 			}
 			last := uint64(1 + tc.n)
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
+			// The log records the case relies on: its table push, its
+			// sequenced batches and the unsequenced one — or, after a
+			// checkpoint, the meter's one checkpoint record.
+			records := 1 + tc.n
+			if tc.legacyAfter {
+				records++
+			}
+			if tc.clean {
+				if err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				records = 1
+			} else {
+				if err := eng.Flush(); err == nil {
+					t.Fatal("Flush rotated the log past a refused generation")
+				}
+				eng.Abandon()
 			}
 
 			re := openTest(t, dir, SyncOff)
 			defer re.Close()
 			rs := re.Recovery()
-			if rs.ReplayedPoints != tc.replayed || rs.SkippedPoints == 0 {
-				t.Fatalf("replayed %d (want %d), skipped %d: the case does not cover what it claims", rs.ReplayedPoints, tc.replayed, rs.SkippedPoints)
+			if rs.ReplayedPoints != tc.replayed || rs.SkippedPoints == 0 || rs.WALRecords != records {
+				t.Fatalf("replayed %d (want %d), skipped %d, %d log records (want %d): the case does not cover what it claims",
+					rs.ReplayedPoints, tc.replayed, rs.SkippedPoints, rs.WALRecords, records)
 			}
 			if got := re.LastSeq(m); got != last {
 				t.Fatalf("recovered LastSeq: %d, want %d", got, last)
@@ -234,8 +263,7 @@ func TestParallelRecoveryMatchesSerial(t *testing.T) {
 		}
 	}
 	eng.Abandon() // crash shape: the post-Flush segment has no footer
-	walPath := filepath.Join(dir, "wal", "shard-0000.wal")
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(currentLog(t, dir, 0), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +318,38 @@ func sameSnapshot(a, b server.MeterState) bool {
 	return true
 }
 
+// currentLog returns the path of the shard's newest log generation in dir:
+// the file its appends go to.
+func currentLog(t testing.TB, dir string, shard int) string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, newest := "", uint64(0)
+	for _, ent := range entries {
+		if s, g, ok := parseWALName(ent.Name()); ok && s == shard && (path == "" || g > newest) {
+			path, newest = filepath.Join(dir, "wal", ent.Name()), g
+		}
+	}
+	if path == "" {
+		t.Fatalf("no log for shard %d in %s", shard, dir)
+	}
+	return path
+}
+
+// noRotationFS refuses to create log generations, which leaves a directory
+// as a crash between a segment finish and the checkpoint it made due would:
+// the segment listed, the log it covers still whole.
+type noRotationFS struct{ OsFS }
+
+func (noRotationFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if flag&os.O_EXCL != 0 && filepath.Ext(name) == ".wal" {
+		return nil, errors.New("log rotation refused")
+	}
+	return OsFS{}.OpenFile(name, flag, perm)
+}
+
 // buildCoveredFixture is buildWALFixture with a segment-covered prefix: a
 // single-shard directory whose finished segments hold the first blocks of
 // both meters, so recovery skips those batches by header. It returns the
@@ -298,7 +358,7 @@ func buildCoveredFixture(t testing.TB) (files map[string][]byte, walBytes []byte
 	t.Helper()
 	dir := t.TempDir()
 	table := testTable(t)
-	eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: 64 << 10})
+	eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: 64 << 10, FS: noRotationFS{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +378,10 @@ func buildCoveredFixture(t testing.TB) (files map[string][]byte, walBytes []byte
 			}
 		}
 	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
+	if err := eng.Flush(); err == nil {
+		t.Fatal("Flush rotated the log past a refused generation")
 	}
+	eng.Abandon()
 	files = map[string][]byte{}
 	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {

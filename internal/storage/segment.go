@@ -75,6 +75,17 @@ type segmentWriter struct {
 	path string
 	off  int64
 	meta []segBlock
+	// metaBytes is the footer size of meta, kept as blocks join so the
+	// headroom check costs O(1) per seal.
+	metaBytes int
+
+	// covered counts, per meter, the points in the shard's finished
+	// segments: what a checkpoint records as covered. held lists, per
+	// meter and in chain order, the sealed blocks that stayed on the heap
+	// because spilling failed; they spill before the meter's next block
+	// (see Engine.SealedBlock).
+	covered map[uint64]int64
+	held    map[uint64][]server.SealedBlock
 }
 
 func segName(shard int, seq uint64) string {
@@ -108,7 +119,9 @@ func (sw *segmentWriter) open() error {
 	sw.f = f
 	sw.off = int64(len(segMagic))
 	sw.meta = sw.meta[:0]
+	sw.metaBytes = 0
 	sw.seq++
+	sw.eng.segBytes.Add(int64(sw.cap))
 	return nil
 }
 
@@ -142,24 +155,42 @@ func (sw *segmentWriter) SealedBlock(meterID uint64, blk server.SealedBlock) ([]
 		off:     sw.off,
 		crc:     crc32.Checksum(blk.Payload, crcC),
 	})
+	sw.metaBytes += segBlockMetaLen + 4*len(blk.Hist)
 	sw.off = (sw.off + need + 7) &^ 7
 	return adopted, nil
+}
+
+// spillHeld writes the meter's heap-held blocks into the segment, oldest
+// first, so the segments hold a prefix of its chain again and its next
+// block may spill. The store keeps serving their heap payloads; only the
+// segment copies are new. A failure keeps the blocks not yet written.
+func (sw *segmentWriter) spillHeld(meterID uint64) error {
+	held := sw.held[meterID]
+	if len(held) == 0 {
+		return nil
+	}
+	for len(held) > 0 {
+		if _, err := sw.SealedBlock(meterID, held[0]); err != nil {
+			sw.held[meterID] = held
+			return err
+		}
+		held = held[1:]
+	}
+	delete(sw.held, meterID)
+	return nil
 }
 
 // footerRoom returns the bytes the footer would need if the segment were
 // finished right now, plus one more max-width entry — the headroom check
 // that guarantees finish() always fits inside the preallocated capacity.
 func (sw *segmentWriter) footerRoom() int {
-	room := 0
-	for i := range sw.meta {
-		room += segBlockMetaLen + 4*len(sw.meta[i].blk.Hist)
-	}
-	return room + segBlockMetaLen + 4*1024
+	return sw.metaBytes + segBlockMetaLen + 4*1024
 }
 
 // finish writes the footer and trailer, fsyncs, shrinks the file to its real
-// length and registers the segment in the manifest. The mapping stays alive:
-// the store's published blocks alias it for the engine's lifetime.
+// length, registers the segment in the manifest, counts its blocks as
+// covered and marks the shard's log due a checkpoint. The mapping stays
+// alive: the store's published blocks alias it for the engine's lifetime.
 func (sw *segmentWriter) finish() error {
 	if sw.f == nil {
 		return nil
@@ -168,7 +199,10 @@ func (sw *segmentWriter) finish() error {
 		// Nothing spilled: drop the empty file instead of manifesting it.
 		err := sw.f.Close()
 		sw.f = nil
-		if rmErr := sw.eng.fs.Remove(sw.path); err == nil {
+		rmErr := sw.eng.fs.Remove(sw.path)
+		if rmErr == nil {
+			sw.eng.segBytes.Add(-int64(sw.cap))
+		} else if err == nil {
 			err = rmErr
 		}
 		return err
@@ -204,17 +238,37 @@ func (sw *segmentWriter) finish() error {
 	if _, err := sw.f.WriteAt(trailer, sw.off+int64(len(footer))); err != nil {
 		return fmt.Errorf("storage: segment trailer: %w", err)
 	}
+	// Shrink before the fsync, so the fsync makes the size durable too: a
+	// segment that came back at full capacity after a power loss would have
+	// no trailer at its end. Every adopted payload lies below the footer,
+	// so the mapping stays valid, and a failure anywhere here leaves the
+	// segment open for a retry that redoes all of it.
+	size := sw.off + int64(len(footer)) + segTrailerLen
+	if err := sw.f.Truncate(size); err != nil {
+		return fmt.Errorf("storage: segment truncate: %w", err)
+	}
 	if err := sw.f.Sync(); err != nil {
 		return fmt.Errorf("storage: segment fsync: %w", err)
 	}
-	if err := sw.f.Truncate(sw.off + int64(len(footer)) + segTrailerLen); err != nil {
-		return fmt.Errorf("storage: segment truncate: %w", err)
+	// The segment's name must survive a power loss before the manifest
+	// lists it: once a checkpoint counts its blocks as covered it is their
+	// only copy.
+	if err := sw.eng.fs.SyncDir(sw.eng.segDir()); err != nil {
+		return fmt.Errorf("storage: segment directory fsync: %w", err)
 	}
+	sw.eng.segBytes.Add(size - int64(sw.cap))
 	err := sw.f.Close()
 	sw.f = nil
 	if err != nil {
 		return err
 	}
+	// The in-memory manifest lists the segment even when writing it fails
+	// (addSegment), so a checkpoint — whose own manifest write lists it —
+	// counts its blocks as covered either way.
+	for i := range sw.meta {
+		sw.covered[sw.meta[i].meterID] += int64(sw.meta[i].blk.N)
+	}
+	sw.eng.gates[sw.shard].due.Store(true)
 	return sw.eng.addSegment(manifestSegment{File: filepath.Base(sw.path), Shard: sw.shard, Seq: sw.seq - 1})
 }
 

@@ -136,7 +136,7 @@ func TestSequencedGapRefused(t *testing.T) {
 
 // TestFormat2ManifestMigrates: a format-2 directory (WAL generations, no
 // sequencing) opens cleanly, keeps its wal_gen, and is rewritten forward to
-// format 3 on the spot.
+// the current format on the spot.
 func TestFormat2ManifestMigrates(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"),
@@ -164,8 +164,8 @@ func TestFormat2ManifestMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"format": 3`) {
-		t.Fatalf("manifest not migrated to format 3:\n%s", raw)
+	if !strings.Contains(string(raw), `"format": 4`) {
+		t.Fatalf("manifest not migrated to format 4:\n%s", raw)
 	}
 	if !strings.Contains(string(raw), `"wal_gen": 2`) {
 		t.Fatalf("migration lost wal_gen:\n%s", raw)

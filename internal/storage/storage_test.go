@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -356,5 +359,204 @@ func TestManifestShardCountWins(t *testing.T) {
 	}
 	if got, want := re.Store().TotalSymbols(), len(testMeters)*10*96; got != want {
 		t.Errorf("TotalSymbols: got %d, want %d", got, want)
+	}
+}
+
+// TestSegmentFooterRunningTotal: the footer size the seal path's headroom
+// check reads is kept as blocks join, not recomputed; it must equal the sum
+// over the open segment's blocks after every seal — blocks with and without
+// histograms — across segments that fill and roll over, a Flush's finish
+// and the segment opened after it.
+func TestSegmentFooterRunningTotal(t *testing.T) {
+	eng := openTest(t, t.TempDir(), SyncOff)
+	defer eng.Close()
+	fine, err := symbolic.Learn(symbolic.MethodMedian, func() []float64 {
+		vals := make([]float64, 8192)
+		for i := range vals {
+			vals[i] = float64(i)
+		}
+		return vals
+	}(), 512) // level 9: blocks carry no histogram
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := eng.store.ShardFor(1)
+	meters := map[uint64]*symbolic.Table{1: testTable(t)}
+	for m := uint64(2); len(meters) < 2; m++ {
+		if eng.store.ShardFor(m) == shard {
+			meters[m] = fine
+		}
+	}
+	for m, table := range meters {
+		if err := eng.StartSession(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.PushTable(m, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw := eng.segs[shard]
+	check := func(when string) {
+		t.Helper()
+		sum := 0
+		for i := range sw.meta {
+			sum += segBlockMetaLen + 4*len(sw.meta[i].blk.Hist)
+		}
+		if sw.metaBytes != sum {
+			t.Fatalf("%s: running footer size %d, recomputed %d over %d blocks", when, sw.metaBytes, sum, len(sw.meta))
+		}
+	}
+	flushed := false
+	for idx := 0; sw.seq < 4; idx++ {
+		if idx == 400 {
+			if err := eng.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			check("after Flush")
+			flushed = true
+		}
+		for m, table := range meters {
+			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("segment %d, batch %d", sw.seq, idx))
+		}
+	}
+	if !flushed {
+		t.Fatal("the segments rolled over before the Flush: grow the run")
+	}
+}
+
+// TestFormat3DirectoryMigrates: a format-3 directory — sequenced logs in
+// two generations, the second from a heal, segments that cover part of
+// them, and no floors — opens, migrates to format 4 with every floor at 0,
+// and recovers the same store and high-water marks. Its first Close then
+// checkpoints onto a single generation per shard that reopens identically.
+func TestFormat3DirectoryMigrates(t *testing.T) {
+	dir := t.TempDir()
+	table := testTable(t)
+	const nBatches = 40
+	// noRotationFS keeps the logs whole, as a format-3 binary did.
+	eng, err := Open(Options{Dir: dir, Shards: 4, Sync: SyncOff, SegmentBytes: 64 << 10, FS: noRotationFS{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range testMeters {
+		if err := eng.StartSession(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.PushTableSeq(m, 1, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := 0; idx < nBatches; idx++ {
+		if idx == 25 {
+			if err := eng.Flush(); err == nil {
+				t.Fatal("Flush rotated a log the fixture refused")
+			}
+		}
+		for _, m := range testMeters {
+			if _, _, err := eng.AppendSeq(m, uint64(2+idx), genBatch(m, idx, table)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eng.Abandon()
+	// Split every shard's log at a record boundary into generations 0 and
+	// 1, the layout a format-3 heal left, and write the manifest format 3
+	// wrote.
+	split := 0
+	for shard := 0; shard < 4; shard++ {
+		path := filepath.Join(dir, "wal", fmt.Sprintf("shard-%04d.wal", shard))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, _, err := parseWAL(raw)
+		if err != nil {
+			t.Fatalf("shard %d log: %v", shard, err)
+		}
+		if len(recs) < 2 {
+			continue // a shard without meters
+		}
+		split++
+		cut := recs[len(recs)/2].end
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal", fmt.Sprintf("shard-%04d-000001.wal", shard)), raw[cut:], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if split == 0 {
+		t.Fatal("no shard log to split")
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["format"], man["wal_gen"] = 3, 1
+	delete(man, "wal_floor")
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := oracleStore(t, table, testMeters, nBatches)
+	check := func(eng *Engine) {
+		t.Helper()
+		compareStores(t, eng.Store(), want, testMeters)
+		for _, m := range testMeters {
+			if got := eng.LastSeq(m); got != 1+nBatches {
+				t.Fatalf("meter %d LastSeq %d, want %d", m, got, 1+nBatches)
+			}
+		}
+	}
+	re := openTest(t, dir, SyncOff)
+	check(re)
+	if rs := re.Recovery(); rs.SkippedPoints == 0 || rs.Segments == 0 {
+		t.Fatalf("the fixture's segments cover nothing: %+v", rs)
+	}
+	migrated, ok, _, err := loadManifest(OsFS{}, dir)
+	if err != nil || !ok || migrated.Format != 4 || !slices.Equal(migrated.WALFloor, []uint64{0, 0, 0, 0}) || migrated.WALGen != 1 {
+		t.Fatalf("migrated manifest %+v, %v", migrated, err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again := openTest(t, dir, SyncOff)
+	defer again.Close()
+	check(again)
+	logs, err := filepath.Glob(filepath.Join(dir, "wal", "*.wal"))
+	if err != nil || len(logs) != 4 {
+		t.Fatalf("after the first checkpoint: logs %v (%v), want one per shard", logs, err)
+	}
+}
+
+// TestFormat3ReaderRefusesFormat4: a format-4 manifest, as this binary
+// writes it, is refused by a reader that knows formats up to 3 — the
+// versioning rule a format-3 binary applies — and read by this one.
+func TestFormat3ReaderRefusesFormat4(t *testing.T) {
+	dir := t.TempDir()
+	eng := openTest(t, dir, SyncOff)
+	applyBatches(t, eng, testTable(t), testMeters, 10)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := parseManifest(raw, 3); !errors.Is(err, ErrFormatTooNew) {
+		t.Fatalf("format-3 reader: got %v, want ErrFormatTooNew", err)
+	}
+	if m, migrated, err := parseManifest(raw, manifestFormat); err != nil || migrated || m.Format != 4 {
+		t.Fatalf("format-4 reader: %+v migrated=%v err=%v", m, migrated, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"symmeter/internal/server"
 	"symmeter/internal/symbolic"
 )
 
@@ -58,6 +59,15 @@ import (
 //	     sequence number (manifest format ≥ 3)
 //	'b': seq(uint64) | 'B' body — a batch committed under a session
 //	     sequence number (manifest format ≥ 3)
+//	'C': meterID(uint64) | seq(uint64) | covered(uint64) |
+//	     tables(uint32) | per table: len(uint32) | MarshalTable bytes |
+//	     blocks(uint32) | per block: epoch(uint32) | level(uint8) |
+//	     n(uint32) | firstT(int64) | stride(int64) | packed symbols
+//	     — one meter's whole state as of a log rotation (manifest format
+//	     ≥ 4): its table history, its sequence high-water mark, how many
+//	     of its points the manifest's segments held (covered), and the
+//	     blocks after those points, in chain order. A checkpoint is the
+//	     first record of its meter in the rotated generation.
 //
 // Batches off the wire are arithmetic in practice (the transport already
 // reconstructs firstT + i·window), so kind 0 — 16 bytes for any batch — is
@@ -65,13 +75,16 @@ import (
 // callers. The sequenced variants exist for exactly-once ingest: recovery
 // restores each meter's sequence high-water mark as the max seq across every
 // replayed record, so a reconnecting client learns which batches survived
-// the crash and replays only the rest.
+// the crash and replays only the rest. A checkpoint stands in for every
+// record of its meter that came before it, which is what lets a rotation
+// unlink the older generations.
 const (
-	walHeaderLen = 12
-	recTable     = 'T'
-	recBatch     = 'B'
-	recSeqTable  = 't'
-	recSeqBatch  = 'b'
+	walHeaderLen  = 12
+	recTable      = 'T'
+	recBatch      = 'B'
+	recSeqTable   = 't'
+	recSeqBatch   = 'b'
+	recCheckpoint = 'C'
 	// maxWALRecord bounds a record body against corrupted length fields,
 	// mirroring the transport's frame cap.
 	maxWALRecord = 16 << 20
@@ -136,10 +149,11 @@ func (m SyncMode) String() string {
 // surfacing the original failure if not.
 var errWALPoisoned = errors.New("storage: wal poisoned by earlier write failure")
 
-// wal is one shard's append-only log.
+// wal is one shard's append-only log: one generation of it.
 type wal struct {
 	mu  sync.Mutex // serializes record assembly + write
 	f   File
+	gen uint64
 	buf []byte // record assembly scratch, reused across appends
 
 	// failed latches the first write error (under mu): the file may end in
@@ -159,8 +173,8 @@ type wal struct {
 	syncErr  error
 }
 
-func newWAL(f File, off int64) *wal {
-	w := &wal{f: f}
+func newWAL(f File, gen uint64, off int64) *wal {
+	w := &wal{f: f, gen: gen}
 	w.written.Store(off)
 	w.synced = off
 	w.syncCond = sync.NewCond(&w.syncMu)
@@ -175,10 +189,7 @@ func (w *wal) writeLocked(buf []byte) (int64, error) {
 	if w.failed != nil {
 		return 0, fmt.Errorf("%w: %w", errWALPoisoned, w.failed)
 	}
-	bodyLen := len(buf) - walHeaderLen
-	binary.BigEndian.PutUint32(buf[0:], uint32(bodyLen))
-	binary.BigEndian.PutUint32(buf[4:], ^uint32(bodyLen))
-	binary.BigEndian.PutUint32(buf[8:], crc32.Checksum(buf[walHeaderLen:], crcC))
+	frameRecordAt(buf)
 	if _, err := w.f.Write(buf); err != nil {
 		// A partial append leaves a torn tail — exactly what replay
 		// tolerates — but this wal must never write behind it: a record
@@ -188,6 +199,15 @@ func (w *wal) writeLocked(buf []byte) (int64, error) {
 	}
 	end := w.written.Add(int64(len(buf)))
 	return end, nil
+}
+
+// frameRecordAt fills in the header of rec, one record whose body (type
+// byte first) follows the walHeaderLen placeholder bytes.
+func frameRecordAt(rec []byte) {
+	bodyLen := len(rec) - walHeaderLen
+	binary.BigEndian.PutUint32(rec[0:], uint32(bodyLen))
+	binary.BigEndian.PutUint32(rec[4:], ^uint32(bodyLen))
+	binary.BigEndian.PutUint32(rec[8:], crc32.Checksum(rec[walHeaderLen:], crcC))
 }
 
 // walHdrZero is the placeholder the record builders reserve up front and
@@ -340,9 +360,23 @@ func (w *wal) dirty() bool {
 	return w.syncErr == nil && w.synced < w.written.Load()
 }
 
+// errWALClosed is what syncTo reports on a log that close retired.
+var errWALClosed = errors.New("storage: wal closed")
+
+// close waits out an fsync in flight — the group syncer does not hold the
+// shard gate a rotation closes logs under — and makes later syncs fail
+// instead of touching the closed file.
 func (w *wal) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.syncMu.Lock()
+	for w.syncing {
+		w.syncCond.Wait()
+	}
+	if w.syncErr == nil {
+		w.syncErr = errWALClosed
+	}
+	w.syncMu.Unlock()
 	if w.f == nil {
 		return nil
 	}
@@ -531,4 +565,157 @@ func decodeTable(data []byte) (uint64, *symbolic.Table, error) {
 		return 0, nil, fmt.Errorf("%w: %v", ErrWALCorrupt, err)
 	}
 	return binary.BigEndian.Uint64(data[0:]), t, nil
+}
+
+// checkpoint is one meter's 'C' record: its state as of a log rotation.
+type checkpoint struct {
+	meterID uint64
+	seq     uint64
+	// covered is how many of the meter's first points the manifest's
+	// segments held when the checkpoint was taken; blocks continue after
+	// them.
+	covered int64
+	tables  []*symbolic.Table
+	blocks  []ckptBlock
+}
+
+// ckptBlock is one block after a checkpoint's covered points.
+type ckptBlock struct {
+	epoch  int
+	level  int
+	n      int
+	firstT int64
+	stride int64
+	packed []byte // n symbols at level bits, MSB-first
+}
+
+// ckptBlockHeaderLen is a checkpoint block's fixed header: epoch, level, n,
+// firstT and stride.
+const ckptBlockHeaderLen = 4 + 1 + 4 + 8 + 8
+
+// appendCheckpoint appends ck as one framed 'C' record to dst. A record
+// past maxWALRecord — a meter with megabytes of unsegmented blocks — is
+// refused: replay would read it as damage.
+func appendCheckpoint(dst []byte, ck *checkpoint) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, walHdrZero[:]...)
+	dst = append(dst, recCheckpoint)
+	dst = binary.BigEndian.AppendUint64(dst, ck.meterID)
+	dst = binary.BigEndian.AppendUint64(dst, ck.seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(ck.covered))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.tables)))
+	for _, t := range ck.tables {
+		tb := symbolic.MarshalTable(t)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(tb)))
+		dst = append(dst, tb...)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.blocks)))
+	for _, b := range ck.blocks {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.epoch))
+		dst = append(dst, byte(b.level))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.n))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.firstT))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.stride))
+		dst = append(dst, b.packed[:(b.n*b.level+7)/8]...)
+	}
+	if body := len(dst) - start - walHeaderLen; body > maxWALRecord {
+		return dst[:start], fmt.Errorf("storage: meter %d checkpoint of %d bytes exceeds the %d-byte record limit", ck.meterID, body, maxWALRecord)
+	}
+	frameRecordAt(dst[start:])
+	return dst, nil
+}
+
+// decodeCheckpoint parses a 'C' record payload. Every count is checked
+// against the bytes that remain before anything is sized by it, and every
+// block against the table history it claims: the payload is disk input.
+func decodeCheckpoint(data []byte) (*checkpoint, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: checkpoint: %s", ErrWALCorrupt, fmt.Sprintf(format, args...))
+	}
+	if len(data) < 8+8+8+4 {
+		return nil, bad("record of %d bytes", len(data))
+	}
+	ck := &checkpoint{
+		meterID: binary.BigEndian.Uint64(data[0:]),
+		seq:     binary.BigEndian.Uint64(data[8:]),
+		covered: int64(binary.BigEndian.Uint64(data[16:])),
+	}
+	if ck.covered < 0 {
+		return nil, bad("meter %d covers %d points", ck.meterID, ck.covered)
+	}
+	off := 24
+	nt := int(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if nt < 1 || nt > (len(data)-off)/4 {
+		return nil, bad("meter %d claims %d tables", ck.meterID, nt)
+	}
+	ck.tables = make([]*symbolic.Table, 0, nt)
+	for range nt {
+		if len(data)-off < 4 {
+			return nil, bad("meter %d table list truncated", ck.meterID)
+		}
+		l := int(binary.BigEndian.Uint32(data[off:]))
+		off += 4
+		if l > len(data)-off {
+			return nil, bad("meter %d table of %d bytes past the record end", ck.meterID, l)
+		}
+		t, err := symbolic.UnmarshalTable(data[off : off+l])
+		if err != nil {
+			return nil, bad("meter %d: %v", ck.meterID, err)
+		}
+		ck.tables = append(ck.tables, t)
+		off += l
+	}
+	if len(data)-off < 4 {
+		return nil, bad("meter %d block count truncated", ck.meterID)
+	}
+	nb := int(binary.BigEndian.Uint32(data[off:]))
+	off += 4
+	if nb > (len(data)-off)/ckptBlockHeaderLen {
+		return nil, bad("meter %d claims %d blocks", ck.meterID, nb)
+	}
+	ck.blocks = make([]ckptBlock, 0, nb)
+	for range nb {
+		if len(data)-off < ckptBlockHeaderLen {
+			return nil, bad("meter %d block header truncated", ck.meterID)
+		}
+		b := ckptBlock{
+			epoch:  int(binary.BigEndian.Uint32(data[off:])),
+			level:  int(data[off+4]),
+			n:      int(binary.BigEndian.Uint32(data[off+5:])),
+			firstT: int64(binary.BigEndian.Uint64(data[off+9:])),
+			stride: int64(binary.BigEndian.Uint64(data[off+17:])),
+		}
+		off += ckptBlockHeaderLen
+		if b.epoch >= nt || b.level != ck.tables[b.epoch].Level() {
+			return nil, bad("meter %d block at epoch %d level %d against %d tables", ck.meterID, b.epoch, b.level, nt)
+		}
+		if last := len(ck.blocks) - 1; last >= 0 && b.epoch < ck.blocks[last].epoch {
+			return nil, bad("meter %d block epochs go back from %d to %d", ck.meterID, ck.blocks[last].epoch, b.epoch)
+		}
+		if b.n < 1 || b.n > server.BlockCap {
+			return nil, bad("meter %d block of %d points", ck.meterID, b.n)
+		}
+		used := (b.n*b.level + 7) / 8
+		if used > len(data)-off {
+			return nil, bad("meter %d block payload past the record end", ck.meterID)
+		}
+		b.packed = data[off : off+used]
+		off += used
+		ck.blocks = append(ck.blocks, b)
+	}
+	if off != len(data) {
+		return nil, bad("meter %d: %d trailing bytes", ck.meterID, len(data)-off)
+	}
+	return ck, nil
+}
+
+// points unpacks the block into the caller's point and symbol scratch.
+func (b *ckptBlock) points(ptsScratch []symbolic.SymbolPoint, symScratch []symbolic.Symbol) ([]symbolic.SymbolPoint, []symbolic.Symbol) {
+	symScratch = symbolic.AppendUnpackRange(symScratch[:0], b.packed, b.level, 0, b.n)
+	ptsScratch = ptsScratch[:0]
+	for i, s := range symScratch {
+		ptsScratch = append(ptsScratch, symbolic.SymbolPoint{T: b.firstT + int64(i)*b.stride, S: s})
+	}
+	return ptsScratch, symScratch
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Query frame types as they appear on the wire.
@@ -460,16 +461,28 @@ func (fr *FrameReader) Next() (typ byte, payload []byte, err error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: frame of %d bytes (limit %d)", ErrFrameTooLarge, n, maxFrame)
 	}
-	if cap(fr.payload) < int(n) {
-		fr.payload = make([]byte, n)
-	}
-	payload = fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
+	// The buffer grows as the payload arrives, never ahead of it by more
+	// than the bytes already read (or frameGrowStep): a peer that claims
+	// MaxFrame and sends nothing pins a few KiB, not the claim.
+	payload = fr.payload[:0]
+	for len(payload) < int(n) {
+		have := len(payload)
+		if have == cap(payload) {
+			payload = slices.Grow(payload, min(int(n)-have, max(have, frameGrowStep)))
 		}
-		return 0, nil, fmt.Errorf("transport: truncated frame payload: %w", err)
+		payload = payload[:min(int(n), cap(payload))]
+		fr.payload = payload
+		if _, err := io.ReadFull(fr.r, payload[have:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("transport: truncated frame payload: %w", err)
+		}
 	}
 	fr.fm.Observe(fr.hdr[0], int(n))
 	return fr.hdr[0], payload, nil
 }
+
+// frameGrowStep is the first growth of a FrameReader's buffer for a frame
+// larger than any before it; later growth doubles what has arrived.
+const frameGrowStep = 4 << 10

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // encodeDecodeRequest round-trips one request through the wire bytes.
@@ -272,6 +274,38 @@ func TestFrameReader(t *testing.T) {
 	fr = NewFrameReader(&big)
 	if _, _, err := fr.Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized: %v", err)
+	}
+}
+
+// TestFrameReaderHugeClaimNoAlloc: a header claiming MaxFrame bytes
+// followed by EOF costs a few KiB, not the claim — the buffer grows only as
+// payload arrives — while a genuinely large frame still reads whole.
+func TestFrameReaderHugeClaimNoAlloc(t *testing.T) {
+	hdr := []byte{FrameSeqSymbol, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[1:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := NewFrameReader(bytes.NewReader(hdr)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a %d-byte claim with no payload allocated %d bytes", MaxFrame, grew)
+	}
+
+	big := make([]byte, 300<<10)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	frame := binary.BigEndian.AppendUint32([]byte{FrameSeqSymbol}, uint32(len(big)))
+	frame = append(frame, big...)
+	fr := NewFrameReader(iotest.OneByteReader(bytes.NewReader(append(frame, frame...))))
+	for i := 0; i < 2; i++ {
+		typ, payload, err := fr.Next()
+		if err != nil || typ != FrameSeqSymbol || !bytes.Equal(payload, big) {
+			t.Fatalf("large frame %d: typ %c, %d bytes, err %v", i, typ, len(payload), err)
+		}
 	}
 }
 

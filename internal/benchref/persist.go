@@ -15,7 +15,8 @@ import (
 
 // MakePersistStore builds the query fixture of MakeQueryStore through a
 // durable engine rooted at dir, so every sealed block is spilled and every
-// batch logged. The caller owns Close.
+// batch logged, each meter's writes sequenced as its session would send
+// them. The caller owns Close.
 func MakePersistStore(dir string, meters, points int, mode storage.SyncMode) (*storage.Engine, error) {
 	table, err := StoreTable()
 	if err != nil {
@@ -32,12 +33,13 @@ func MakePersistStore(dir string, meters, points int, mode storage.SyncMode) (*s
 		if err := eng.StartSession(id); err != nil {
 			return nil, err
 		}
-		if err := eng.PushTable(id, table); err != nil {
+		if _, err := eng.PushTableSeq(id, 1, table); err != nil {
 			return nil, err
 		}
 		if err := eng.Reserve(id, points); err != nil {
 			return nil, err
 		}
+		seq := uint64(1)
 		var ts int64
 		pts := make([]symbolic.SymbolPoint, 96)
 		for sent := 0; sent < points; {
@@ -50,7 +52,8 @@ func MakePersistStore(dir string, meters, points int, mode storage.SyncMode) (*s
 				bp[i] = symbolic.SymbolPoint{T: ts, S: symbolic.NewSymbol((m*7+int(ts/900)*11)%k, level)}
 				ts += 900
 			}
-			if _, err := eng.Append(id, bp); err != nil {
+			seq++
+			if _, _, err := eng.AppendSeq(id, seq, bp); err != nil {
 				return nil, err
 			}
 			sent += batch
@@ -61,8 +64,8 @@ func MakePersistStore(dir string, meters, points int, mode storage.SyncMode) (*s
 }
 
 // BenchPersistAppend measures committing one decoded batch through the full
-// durable path — WAL framing + write(2) + packed-store commit — the durable
-// twin of BenchStoreAppend. The engine is recycled off-timer per slab so the
+// durable path — admission, WAL framing + write(2), packed-store commit and
+// the sequence advance — the durable twin of BenchStoreAppend. The engine is recycled off-timer per slab so the
 // WAL on disk stays bounded for any b.N.
 func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 	table, err := StoreTable()
@@ -79,7 +82,7 @@ func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 		if err := eng.StartSession(1); err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.PushTable(1, table); err != nil {
+		if _, err := eng.PushTableSeq(1, 1, table); err != nil {
 			b.Fatal(err)
 		}
 		if err := eng.Reserve(1, slab*len(pts)); err != nil {
@@ -89,6 +92,7 @@ func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 	}
 	eng := newEngine()
 	var next int64
+	seq := uint64(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,6 +101,7 @@ func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 			eng.Close()
 			eng = newEngine()
 			next = 0
+			seq = 1
 			b.StartTimer()
 		}
 		for j := range pts {
@@ -104,7 +109,8 @@ func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 			pts[j].S = table.Encode(float64((int(next) + j) * 11 % 4000))
 		}
 		next += int64(len(pts))
-		if _, err := eng.Append(1, pts); err != nil {
+		seq++
+		if _, _, err := eng.AppendSeq(1, seq, pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -113,7 +119,7 @@ func BenchPersistAppend(b *testing.B, mode storage.SyncMode) {
 	reportSymbols(b, len(pts))
 }
 
-// BenchPersistIngestLatency measures per-Append latency on one hot meter
+// BenchPersistIngestLatency measures per-AppendSeq latency on one hot meter
 // through the WAL (the durable counterpart of BenchIngestLatency) and
 // reports p50/p99.
 func BenchPersistIngestLatency(b *testing.B, mode storage.SyncMode) {
@@ -131,7 +137,7 @@ func BenchPersistIngestLatency(b *testing.B, mode storage.SyncMode) {
 		if err := eng.StartSession(1); err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.PushTable(1, table); err != nil {
+		if _, err := eng.PushTableSeq(1, 1, table); err != nil {
 			b.Fatal(err)
 		}
 		if err := eng.Reserve(1, slab*len(pts)); err != nil {
@@ -141,6 +147,7 @@ func BenchPersistIngestLatency(b *testing.B, mode storage.SyncMode) {
 	}
 	eng := mk()
 	var ts int64
+	seq := uint64(1)
 	lat := make([]int64, 0, min(maxLatencySamples, 1<<16))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,14 +157,16 @@ func BenchPersistIngestLatency(b *testing.B, mode storage.SyncMode) {
 			eng.Close()
 			eng = mk()
 			ts = 0
+			seq = 1
 			b.StartTimer()
 		}
 		for j := range pts {
 			pts[j] = symbolic.SymbolPoint{T: ts, S: table.Encode(float64(j * 11 % 4000))}
 			ts += 900
 		}
+		seq++
 		start := time.Now()
-		if _, err := eng.Append(1, pts); err != nil {
+		if _, _, err := eng.AppendSeq(1, seq, pts); err != nil {
 			b.Fatal(err)
 		}
 		d := int64(time.Since(start))

@@ -35,18 +35,12 @@ func coldFixture(t *testing.T) (*storage.Engine, *server.Store, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type loader interface {
-		StartSession(meterID uint64) error
-		EndSession(meterID uint64)
-		PushTable(meterID uint64, t *symbolic.Table) error
-		Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
-	}
-	for _, ing := range []loader{eng, mem} {
+	for _, ing := range []server.Ingest{eng, mem} {
 		for m := uint64(1); m <= 4; m++ {
 			if err := ing.StartSession(m); err != nil {
 				t.Fatal(err)
 			}
-			if err := ing.PushTable(m, table); err != nil {
+			if _, err := ing.PushTableSeq(m, 1, table); err != nil {
 				t.Fatal(err)
 			}
 			pts := make([]symbolic.SymbolPoint, 96)
@@ -57,7 +51,7 @@ func coldFixture(t *testing.T) (*storage.Engine, *server.Store, string) {
 					pts[j] = symbolic.SymbolPoint{T: ts, S: table.Encode(v)}
 					ts += 900
 				}
-				if _, err := ing.Append(m, pts); err != nil {
+				if _, _, err := ing.AppendSeq(m, uint64(2+batch), pts); err != nil {
 					t.Fatal(err)
 				}
 			}

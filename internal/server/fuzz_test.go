@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -28,11 +29,36 @@ func fuzzIngestTable() *symbolic.Table {
 	return table
 }
 
+// Connection fuzz inputs may make the server allocate at most allocSlack —
+// the service, the session and its buffers — plus allocPerByte for every
+// input byte, the bytes that justify anything more. A level-1 symbol is one
+// bit on the wire and 24 bytes once decoded (its point and its symbol), so a
+// well-formed stream costs a few hundred bytes per input byte; a frame
+// length claim allocated before its payload arrives costs megabytes for 5.
+const (
+	allocSlack   = 1 << 20
+	allocPerByte = 1024
+)
+
+// checkAllocs runs one connection over data and fails when the heap bytes
+// it allocated (TotalAlloc, whatever became garbage since) exceed the bound.
+func checkAllocs(t *testing.T, data []byte, run func()) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(allocSlack+allocPerByte*len(data)); got > bound {
+		t.Fatalf("a %d-byte input allocated %d bytes, more than the %d-byte bound", len(data), got, bound)
+	}
+}
+
 // FuzzIngestConn feeds arbitrary bytes, after a valid sequenced handshake,
 // to handleConn against an in-memory Store, with the server's replies
-// crossing a net.Pipe. Whatever the
-// bytes, the server must not panic, the session must end, and the store
-// must hold exactly the symbols of the batches the server acknowledged.
+// crossing a net.Pipe. Whatever the bytes, the server must not panic, the
+// session must end, the store must hold exactly the symbols of the batches
+// the server acknowledged, and the allocations must stay within the
+// checkAllocs bound.
 func FuzzIngestConn(f *testing.F) {
 	table := fuzzIngestTable()
 	syms := make([]symbolic.Symbol, 96)
@@ -60,9 +86,17 @@ func FuzzIngestConn(f *testing.F) {
 	f.Add(append(level64, make([]byte, 14)...))
 	// A 'D' frame cut short after its table.
 	f.Add(valid[:len(valid)-20])
+	// Frame headers claiming the largest payload, with nothing after them.
+	tableFrame := valid[:len(transport.AppendSeqTableFrame(nil, 1, table))]
+	for _, typ := range []byte{transport.FrameSeqTable, transport.FrameSeqSymbol} {
+		huge := []byte{typ, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(huge[1:], transport.MaxFrame)
+		f.Add(append(append([]byte(nil), tableFrame...), huge...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stored, acked := runIngestConn(t, data)
+		var stored, acked int
+		checkAllocs(t, data, func() { stored, acked = runIngestConn(t, data) })
 		if stored != acked {
 			t.Fatalf("store holds %d symbols, the acked batches carry %d", stored, acked)
 		}
@@ -184,9 +218,10 @@ func fuzzQueryHandler(req transport.QueryRequest, res *transport.QueryResult) er
 // FuzzQueryConn feeds arbitrary bytes to handleConn on a query-only
 // listener, with the request bytes served from memory and the responses
 // crossing a net.Pipe, as FuzzIngestConn does for ingest. Whatever the
-// bytes, the server must not panic, the session must end, and every
-// response must be a well-formed 'R' or 'X' frame carrying an id one of
-// the input's requests sent.
+// bytes, the server must not panic, the session must end, every response
+// must be a well-formed 'R' or 'X' frame carrying an id one of the input's
+// requests sent, and the allocations must stay within the checkAllocs
+// bound.
 func FuzzQueryConn(f *testing.F) {
 	req := transport.QueryRequest{ID: 7, Op: transport.OpAggregate, MeterID: 3, T0: 0, T1: 900}
 	valid := transport.AppendQueryRequestFrame(nil, req)
@@ -206,7 +241,9 @@ func FuzzQueryConn(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), huge...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, id := range runQueryConn(t, data) {
+		var ids []uint64
+		checkAllocs(t, data, func() { ids = runQueryConn(t, data) })
+		for _, id := range ids {
 			if !sentID(data, id) {
 				t.Fatalf("response carries id %d, which no request sent", id)
 			}

@@ -76,15 +76,20 @@ const defaultWriteTimeout = 30 * time.Second
 const defaultQueryConcurrency = 4
 
 // Ingest is the exactly-once write interface a session drives. A plain
-// *Store implements it (the in-memory default, high-water mark in memory);
-// a durability layer wraps the store so every table and batch hits a
-// write-ahead log before it commits and the mark survives restarts (see
-// internal/storage), without the session loop knowing either way.
+// *Store implements it (the in-memory default); a durability layer wraps
+// the store so every table and batch hits a write-ahead log before it
+// commits and the mark survives restarts (see internal/storage), without
+// the session loop knowing either way.
 //
+// There is one sequence rule, and the Store owns it along with each
+// meter's table history and high-water mark: its AdmitTable/AdmitAppend
+// decide whether a write may commit, CommitTable/CommitAppend advance the
+// mark, and LastSeq reads it, whichever implementation is installed.
 // Sequence numbers are dense and per-meter: seq == LastSeq+1 commits and
 // advances the high-water mark, seq <= LastSeq is a duplicate from a
 // retransmit after a lost ack — suppressed without writing, dup=true, still
-// acked — and anything further ahead is ErrSeqGap.
+// acked — anything further ahead is ErrSeqGap, and an empty batch is
+// ErrEmptyBatch.
 type Ingest interface {
 	StartSession(meterID uint64) error
 	EndSession(meterID uint64)

@@ -52,6 +52,11 @@ var (
 	// high-water mark — a client bug (sequence numbers must be dense), torn
 	// down loudly rather than committed out of order.
 	ErrSeqGap = errors.New("server: sequence gap in sequenced ingest")
+	// ErrEmptyBatch reports a sequenced batch without symbols. It has no
+	// durable form — a logged batch holds at least one point — so it could
+	// not carry the high-water mark across a restart, and it is refused
+	// rather than acked.
+	ErrEmptyBatch = errors.New("server: empty sequenced batch")
 )
 
 // ReconPoint is one reconstructed measurement: the symbol the meter sent
@@ -406,78 +411,126 @@ func (s *Store) EndSession(meterID uint64) {
 // decide which pending batches to replay.
 func (s *Store) LastSeq(meterID uint64) uint64 {
 	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	if e := sh.meter(meterID); e != nil {
 		return e.seq
 	}
 	return 0
 }
 
-// seqCheck classifies seq against the meter's high-water mark: committed
-// already (dup), next in line (proceed), or a gap (client bug, loud error).
-func (s *Store) seqCheck(meterID, seq uint64) (dup bool, err error) {
+// RestoreSeq installs a recovered meter's sequence high-water mark — the
+// recovery-time counterpart of the advance a commit makes. It must run
+// before any live traffic for the meter.
+func (s *Store) RestoreSeq(meterID, seq uint64) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	if e := sh.meter(meterID); e != nil {
+		e.seq = seq
 	}
+}
+
+// IngestState returns the meter's table history and sequence high-water
+// mark, read together under the shard lock: what a durability layer
+// checkpoints for the meter. The slice must not be modified.
+func (m Meter) IngestState() (tables []*symbolic.Table, seq uint64) {
+	m.sh.mu.RLock()
+	defer m.sh.mu.RUnlock()
+	return m.e.tables[:len(m.e.tables):len(m.e.tables)], m.e.seq
+}
+
+// admitSeq is the dense-sequence rule, the one every ingest path applies:
+// at or below the high-water mark is a duplicate (suppressed but acked —
+// the write already committed), exactly one above commits, anything further
+// is a gap the session must not paper over. Caller holds the shard lock.
+func (e *meterEntry) admitSeq(seq uint64) (dup bool, err error) {
 	if seq <= e.seq {
 		return true, nil
 	}
 	if seq != e.seq+1 {
-		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, meterID, seq, e.seq)
+		return false, fmt.Errorf("%w: meter %d got seq %d with high-water mark %d", ErrSeqGap, e.id, seq, e.seq)
 	}
 	return false, nil
 }
 
-// seqAdvance commits seq as the meter's new high-water mark.
-func (s *Store) seqAdvance(meterID, seq uint64) {
+// AdmitTable reports whether a table push under seq may commit: a
+// duplicate (dup=true, to be acked without writing), a refusal
+// (ErrUnknownMeter, ErrSeqGap) or, with neither, go ahead. Admission
+// changes nothing; CommitTable does. A durability layer logs the push
+// between the two.
+func (s *Store) AdmitTable(meterID, seq uint64) (dup bool, err error) {
 	sh := s.shardOf(meterID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.meter(meterID); e != nil && seq > e.seq {
-		e.seq = seq
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e := sh.meter(meterID)
+	if e == nil {
+		return false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
 	}
+	return e.admitSeq(seq)
+}
+
+// AdmitAppend is AdmitTable for a symbol batch, and also validates the
+// batch against the meter's current table (ErrNoTable, ErrEmptyBatch,
+// ErrBadSymbol). An admitted batch commits under epoch at level — the
+// values a durability layer logs it with — once CommitAppend runs.
+func (s *Store) AdmitAppend(meterID, seq uint64, pts []symbolic.SymbolPoint) (epoch uint32, level int, dup bool, err error) {
+	sh := s.shardOf(meterID)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e := sh.meter(meterID)
+	if e == nil {
+		return 0, 0, false, fmt.Errorf("%w: %d", ErrUnknownMeter, meterID)
+	}
+	if len(e.tables) == 0 {
+		return 0, 0, false, fmt.Errorf("%w: %d", ErrNoTable, meterID)
+	}
+	if dup, err := e.admitSeq(seq); dup || err != nil {
+		return 0, 0, dup, err
+	}
+	if len(pts) == 0 {
+		return 0, 0, false, fmt.Errorf("%w: meter %d seq %d", ErrEmptyBatch, meterID, seq)
+	}
+	epoch = uint32(len(e.tables) - 1)
+	level = e.tables[epoch].Level()
+	if err := checkLevel(pts, level); err != nil {
+		return 0, 0, false, err
+	}
+	return epoch, level, false, nil
 }
 
 // PushTableSeq is PushTable for sequenced sessions: seq == hwm+1 commits
 // the table and advances the mark, seq <= hwm is suppressed as a duplicate
 // (dup=true, nothing written, still to be acked), and a gap is refused.
 func (s *Store) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
-	dup, err := s.seqCheck(meterID, seq)
+	dup, err := s.AdmitTable(meterID, seq)
 	if dup || err != nil {
 		return dup, err
 	}
-	if err := s.PushTable(meterID, t); err != nil {
-		return false, err
-	}
-	s.seqAdvance(meterID, seq)
-	return false, nil
+	return false, s.CommitTable(meterID, seq, t)
 }
 
 // AppendSeq is Append for sequenced sessions, with the same duplicate and
-// gap semantics as PushTableSeq. The high-water mark advances only after
-// the whole batch commits, so a failed append leaves the mark untouched
-// and the client's retry of the same seq is not misread as a duplicate.
+// gap semantics as PushTableSeq; an empty batch is refused.
 func (s *Store) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
-	dup, err := s.seqCheck(meterID, seq)
+	_, _, dup, err := s.AdmitAppend(meterID, seq, pts)
 	if dup || err != nil {
 		return 0, dup, err
 	}
-	n, err := s.Append(meterID, pts)
-	if err != nil {
-		return n, false, err
-	}
-	s.seqAdvance(meterID, seq)
-	return n, false, nil
+	n, err := s.CommitAppend(meterID, seq, pts)
+	return n, false, err
 }
 
 // PushTable records a new lookup table for the meter, opening a new epoch:
 // the current tail block is left to seal itself on the next append.
 func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
+	return s.CommitTable(meterID, 0, t)
+}
+
+// CommitTable is PushTable for a push AdmitTable admitted under seq: it
+// also advances the meter's high-water mark to seq (seq 0 advances
+// nothing).
+func (s *Store) CommitTable(meterID, seq uint64, t *symbolic.Table) error {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -489,6 +542,9 @@ func (s *Store) PushTable(meterID uint64, t *symbolic.Table) error {
 	if e.pendingReserve > 0 {
 		e.reserveLocked(e.pendingReserve, s.sink != nil)
 		e.pendingReserve = 0
+	}
+	if seq > e.seq {
+		e.seq = seq
 	}
 	return nil
 }
@@ -511,6 +567,14 @@ var ErrBadSymbol = errors.New("server: symbol level does not match table")
 // epoch seals the tail, publishes the sealed index (the single point where
 // the lock-free read path learns about new data), and opens a fresh block.
 func (s *Store) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
+	return s.CommitAppend(meterID, 0, pts)
+}
+
+// CommitAppend is Append for a batch AdmitAppend admitted under seq: once
+// the whole batch is in, it also advances the meter's high-water mark to
+// seq (seq 0 advances nothing). A failed append leaves the mark untouched,
+// so the client's retry of the same seq is not misread as a duplicate.
+func (s *Store) CommitAppend(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, error) {
 	sh := s.shardOf(meterID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -524,11 +588,8 @@ func (s *Store) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) 
 	epoch := uint32(len(e.tables) - 1)
 	table := e.tables[epoch]
 	level := table.Level()
-	for i := range pts {
-		if pts[i].S.Level() != level {
-			return 0, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				ErrBadSymbol, i, pts[i].S.Level(), level)
-		}
+	if err := checkLevel(pts, level); err != nil {
+		return 0, err
 	}
 	values := table.ReconstructionValues()
 	k := table.K()
@@ -559,7 +620,21 @@ func (s *Store) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) 
 		tail.push(sp.T, idx, values[idx])
 	}
 	e.total.Add(int64(len(pts)))
+	if seq > e.seq {
+		e.seq = seq
+	}
 	return len(pts), nil
+}
+
+// checkLevel validates a whole batch against the table's symbol level.
+func checkLevel(pts []symbolic.SymbolPoint, level int) error {
+	for i := range pts {
+		if pts[i].S.Level() != level {
+			return fmt.Errorf("%w: point %d has level %d, table has level %d",
+				ErrBadSymbol, i, pts[i].S.Level(), level)
+		}
+	}
+	return nil
 }
 
 // sealTail finalizes a block that is about to get a successor: through the
@@ -802,29 +877,6 @@ func appendBlockPoints(dst []ReconPoint, b *block, tables []*symbolic.Table, scr
 		})
 	}
 	return dst, scratch
-}
-
-// QueryMeter invokes fn for each non-empty block of the meter in append
-// order, under the shard read lock, and reports whether the meter exists.
-// fn must be pure computation over the view — no blocking, no retaining of
-// the view's slices (see BlockView). This is the full-chain compatibility
-// walk; range queries should go through Meter.VisitRange, which reads
-// sealed data lock-free and prunes via the time directory.
-func (s *Store) QueryMeter(meterID uint64, fn func(BlockView)) bool {
-	sh := s.shardOf(meterID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e := sh.meter(meterID)
-	if e == nil {
-		return false
-	}
-	for i := range e.blocks {
-		if e.blocks[i].n == 0 {
-			continue
-		}
-		fn(e.view(&e.blocks[i]))
-	}
-	return true
 }
 
 // view builds the visitor view for a block under the meter's live tables

@@ -295,7 +295,7 @@ func TestBlockChainShape(t *testing.T) {
 	// The visitor sees the same stream the snapshot reconstructed, and every
 	// block's summary matches a recount of its own payload.
 	var visited int
-	s.QueryMeter(3, func(v BlockView) {
+	visitAll(t, s, 3, func(v BlockView) {
 		visited += v.N
 		hist := make([]uint64, 1<<uint(v.Level))
 		symbolic.PackedRangeHistogram(hist, v.Payload, v.Level, 0, v.N)
@@ -402,6 +402,19 @@ func TestDegenerateStreamMemoryBounded(t *testing.T) {
 	}
 }
 
+// visitAll invokes fn for every block of the meter, live tail included,
+// through CollectRange over all of time — the path queries take.
+func visitAll(t *testing.T, s *Store, meterID uint64, fn func(BlockView)) {
+	t.Helper()
+	m, ok := s.Meter(meterID)
+	if !ok {
+		t.Fatalf("meter %d is unknown", meterID)
+	}
+	for _, v := range m.CollectRange(math.MinInt64, math.MaxInt64, nil, fn) {
+		fn(v)
+	}
+}
+
 // TestAdversarialTimestampOverflow pins the stride guard: timestamps chosen
 // to wrap the block's arithmetic progression past int64 must not corrupt
 // queries — every point lands in its own block and both read paths
@@ -427,7 +440,7 @@ func TestAdversarialTimestampOverflow(t *testing.T) {
 		}
 	}
 	visited := 0
-	s.QueryMeter(1, func(v BlockView) {
+	visitAll(t, s, 1, func(v BlockView) {
 		visited += v.N
 		if v.LastT() < v.FirstT {
 			t.Fatalf("block lastT %d wrapped below firstT %d", v.LastT(), v.FirstT)
@@ -470,7 +483,7 @@ func TestNegativeTimestampsFormFullBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	blocks := 0
-	s.QueryMeter(1, func(v BlockView) { blocks++ })
+	visitAll(t, s, 1, func(v BlockView) { blocks++ })
 	if blocks != 2 {
 		t.Fatalf("regular pre-epoch stream fragmented into %d blocks, want 2", blocks)
 	}

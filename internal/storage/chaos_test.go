@@ -65,15 +65,19 @@ func chaosOpen(t testing.TB, dir string, fsys storage.FS, sync storage.SyncMode,
 	return eng
 }
 
+// sequenced numbers the engine's writes per meter as each meter's session
+// would, from its high-water mark.
+func sequenced(eng *storage.Engine) storage.Sequenced { return storage.Sequenced{Ingest: eng} }
+
 // startMeters opens a session and pushes the table for every meter (done on
-// a healthy disk, before any fault schedule is armed).
+// a healthy disk, before any fault schedule is armed) under seq 1.
 func startMeters(t testing.TB, eng *storage.Engine, table *symbolic.Table, meters []uint64) {
 	t.Helper()
 	for _, m := range meters {
 		if err := eng.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if err := sequenced(eng).PushTable(m, table); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +184,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 10; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -193,7 +197,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 		faultfs.Fault{Op: faultfs.OpWrite, Path: ".wal", Sticky: true},
 		faultfs.Fault{Op: faultfs.OpSync, Path: ".probe", Sticky: true},
 	)
-	if _, err := eng.Append(1, chaosBatch(1, 10, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := sequenced(eng).Append(1, chaosBatch(1, 10, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("append on dead disk: got %v, want server.ErrDegraded", err)
 	}
 	h := eng.Health()
@@ -204,10 +208,10 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 		t.Fatalf("reason %q, want the wal append class", h.Reason)
 	}
 	// Every ingest surface refuses with the same typed error, up front.
-	if _, err := eng.Append(2, chaosBatch(2, 10, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := sequenced(eng).Append(2, chaosBatch(2, 10, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("second meter: %v", err)
 	}
-	if err := eng.PushTable(1, table); !errors.Is(err, server.ErrDegraded) {
+	if err := sequenced(eng).PushTable(1, table); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("push table while degraded: %v", err)
 	}
 	if err := eng.StartSession(99); !errors.Is(err, server.ErrDegraded) {
@@ -233,7 +237,7 @@ func TestDegradedWALWriteRefusesThenHeals(t *testing.T) {
 	// Ingest resumes, including the very batch that was refused.
 	for idx := 10; idx < 16; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatalf("append after heal (meter %d batch %d): %v", m, idx, err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -262,7 +266,7 @@ func TestFsyncFailureNeverAcks(t *testing.T) {
 	startMeters(t, eng, table, []uint64{1})
 
 	ffs.SetFaults(faultfs.Fault{Op: faultfs.OpSync, Path: ".wal", N: 1})
-	_, err := eng.Append(1, chaosBatch(1, 0, table))
+	_, err := sequenced(eng).Append(1, chaosBatch(1, 0, table))
 	if !errors.Is(err, faultfs.ErrIO) {
 		t.Fatalf("append with dying fsync: got %v, want the injected ErrIO", err)
 	}
@@ -283,7 +287,7 @@ func TestFsyncFailureNeverAcks(t *testing.T) {
 	// Fsyncgate: no retry. Later appends are refused before touching the
 	// log, so the sync count must not move.
 	syncs := ffs.Counts()[faultfs.OpSync]
-	if _, err := eng.Append(1, chaosBatch(1, 0, table)); !errors.Is(err, server.ErrDegraded) {
+	if _, err := sequenced(eng).Append(1, chaosBatch(1, 0, table)); !errors.Is(err, server.ErrDegraded) {
 		t.Fatalf("append while degraded: %v", err)
 	}
 	if got := ffs.Counts()[faultfs.OpSync]; got != syncs {
@@ -316,7 +320,7 @@ func TestSpillFailureFallsBackToHeap(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 40; idx++ { // ~7 seals per meter
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatalf("append with dead segment dir (meter %d batch %d): %v", m, idx, err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -356,7 +360,7 @@ func TestSpillResumeKeepsSegmentsAPrefix(t *testing.T) {
 		t.Helper()
 		for idx := from; idx < to; idx++ {
 			for _, m := range meters {
-				if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+				if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 					t.Fatalf("meter %d batch %d: %v", m, idx, err)
 				}
 				acked[m] = append(acked[m], idx)
@@ -416,7 +420,7 @@ func TestSpillResumeSpillsHeldBlocks(t *testing.T) {
 		t.Helper()
 		for end := idx + n; idx < end; idx++ {
 			for _, m := range meters {
-				if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+				if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 					t.Fatalf("meter %d batch %d: %v", m, idx, err)
 				}
 				acked[m] = append(acked[m], idx)
@@ -489,7 +493,7 @@ func TestManifestFailureRetriesThenDegrades(t *testing.T) {
 			acked := map[uint64][]int{}
 			for idx := 0; idx < 20; idx++ {
 				for _, m := range meters {
-					if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+					if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 						t.Fatal(err)
 					}
 					acked[m] = append(acked[m], idx)
@@ -512,7 +516,7 @@ func TestManifestFailureRetriesThenDegrades(t *testing.T) {
 			if !strings.Contains(h.Reason, "manifest") {
 				t.Fatalf("reason %q, want the manifest class", h.Reason)
 			}
-			if _, err := eng.Append(1, chaosBatch(1, 20, table)); !errors.Is(err, server.ErrDegraded) {
+			if _, err := sequenced(eng).Append(1, chaosBatch(1, 20, table)); !errors.Is(err, server.ErrDegraded) {
 				t.Fatalf("append after manifest degrade: %v", err)
 			}
 			// Every failed replacement cleaned its temp file.
@@ -544,7 +548,7 @@ func TestOpenUnwindsCleanly(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 40; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -613,7 +617,7 @@ func TestFaultedRecoveryThenClean(t *testing.T) {
 	acked := map[uint64][]int{}
 	for idx := 0; idx < 30; idx++ {
 		for _, m := range meters {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err != nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			acked[m] = append(acked[m], idx)
@@ -655,7 +659,7 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 		t.Fatalf("WALGen after migration: %d, want 0", gen)
 	}
 	startMeters(t, eng, table, []uint64{1})
-	if _, err := eng.Append(1, chaosBatch(1, 0, table)); err != nil {
+	if _, err := sequenced(eng).Append(1, chaosBatch(1, 0, table)); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -674,7 +678,7 @@ func TestFormat1ManifestMigrates(t *testing.T) {
 		buildOracle(t, table, []uint64{1}, map[uint64][]int{1: {0}}), []uint64{1})
 }
 
-// measureAppendAllocs returns AllocsPerRun for non-sealing Append batches on
+// measureAppendAllocs returns AllocsPerRun for non-sealing AppendSeq batches on
 // an engine over fsys, after warming the WAL buffers and tail arenas.
 func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	t.Helper()
@@ -689,9 +693,9 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	table := chaosTable(t)
 	startMeters(t, eng, table, []uint64{7})
 	// Warm up exactly two block cycles (lcm(512, 96) = 1536 points), landing
-	// the tail at a block boundary.
+	// the tail at a block boundary. The table push took seq 1.
 	for idx := 0; idx < 32; idx++ {
-		if _, err := eng.Append(7, chaosBatch(7, idx, table)); err != nil {
+		if _, _, err := eng.AppendSeq(7, uint64(2+idx), chaosBatch(7, idx, table)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -704,7 +708,7 @@ func measureAppendAllocs(t *testing.T, fsys storage.FS) float64 {
 	}
 	i := 0
 	return testing.AllocsPerRun(4, func() {
-		if _, err := eng.Append(7, batches[i]); err != nil {
+		if _, _, err := eng.AppendSeq(7, uint64(34+i), batches[i]); err != nil {
 			t.Fatal(err)
 		}
 		i++
@@ -719,7 +723,7 @@ func TestAppendAllocsThroughSeam(t *testing.T) {
 	faultAllocs := measureAppendAllocs(t, faultfs.New())
 	t.Logf("append allocs/run: OsFS=%v faultfs=%v", osAllocs, faultAllocs)
 	if osAllocs != 0 {
-		t.Errorf("steady-state durable Append allocates %v per run through OsFS, want 0", osAllocs)
+		t.Errorf("steady-state durable AppendSeq allocates %v per run through OsFS, want 0", osAllocs)
 	}
 	if faultAllocs > osAllocs {
 		t.Errorf("the FS seam costs allocations: faultfs %v vs OsFS %v", faultAllocs, osAllocs)
@@ -759,7 +763,7 @@ func runChaos(t *testing.T, sync storage.SyncMode, faults []faultfs.Fault, round
 				continue
 			}
 			idx := next[m]
-			_, err := eng.Append(m, chaosBatch(m, idx, table))
+			_, err := sequenced(eng).Append(m, chaosBatch(m, idx, table))
 			switch {
 			case err == nil:
 				acked[m] = append(acked[m], idx)
@@ -787,7 +791,7 @@ func runChaos(t *testing.T, sync storage.SyncMode, faults []faultfs.Fault, round
 		idx := next[m]
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			if _, err := eng.Append(m, chaosBatch(m, idx, table)); err == nil {
+			if _, err := sequenced(eng).Append(m, chaosBatch(m, idx, table)); err == nil {
 				acked[m] = append(acked[m], idx)
 				next[m] = idx + 1
 				break

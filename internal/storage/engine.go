@@ -5,10 +5,10 @@
 // newest segment manifest and the WAL tails above it.
 //
 // The split mirrors the store's own hot/cold split. The WAL is the hot
-// tail's durability: every Append batch and table push is framed, CRC'd and
-// written (one write(2) per batch) before the store commits it, so an
-// acknowledged batch survives process death in every sync mode and OS death
-// per the chosen SyncMode. Segments are the sealed data's durability *and*
+// tail's durability: every batch and table push a session commits is
+// framed, CRC'd and written (one write(2) per batch) before the store
+// commits it, so an acknowledged batch survives process death in every
+// sync mode and OS death per the chosen SyncMode. Segments are the sealed data's durability *and*
 // its eviction: the seal path hands each finished 512-symbol block to the
 // shard's segment writer, which appends the packed payload to a
 // preallocated, mmapped file and returns the mapped bytes for the store to
@@ -76,9 +76,6 @@ type Options struct {
 	Shards int
 	// Sync is the WAL durability mode; the default is SyncGroup.
 	Sync SyncMode
-	// GroupInterval is the background fsync cadence under SyncGroup
-	// (default 2ms) — the OS-crash data-loss bound.
-	GroupInterval time.Duration
 	// SegmentBytes caps one segment file's preallocated size (default 4MiB,
 	// min 64KiB).
 	SegmentBytes int
@@ -125,24 +122,9 @@ type RecoveryStats struct {
 	Replay      time.Duration
 }
 
-// meterMeta is the engine's per-meter ingest state (table history and
-// current symbol level), used to frame WAL batch records, pre-validate
-// appends before they are logged and write checkpoints, plus the
-// sequenced-ingest high-water mark. Fields are written only by the meter's
-// single session goroutine (the same serialization the wire protocol
-// imposes), under its shard's gate; cross-session visibility rides the
-// store's shard lock in EndSession/StartSession.
-type meterMeta struct {
-	tables []*symbolic.Table
-	level  int
-	// seq is the highest committed session sequence number — the value a
-	// reconnecting client learns in its handshake ack. It advances only
-	// after the store commit, so an acked seq is always readable.
-	seq uint64
-}
-
-// epoch is the index of the meter's current table.
-func (mm *meterMeta) epoch() int { return len(mm.tables) - 1 }
+// groupSyncInterval is the background fsync cadence under SyncGroup — the
+// OS-crash data-loss bound.
+const groupSyncInterval = 2 * time.Millisecond
 
 // shardGate orders a shard's writes against its log rotations. A write
 // holds it shared from its log record to its store commit; a rotation holds
@@ -186,8 +168,6 @@ type Engine struct {
 	walOlder atomic.Int64
 	segBytes atomic.Int64
 
-	meters sync.Map // meterID → *meterMeta
-
 	manMu sync.Mutex
 	man   manifest
 
@@ -219,9 +199,6 @@ func Open(opts Options) (*Engine, error) {
 	}
 	if opts.SegmentBytes < 64<<10 {
 		opts.SegmentBytes = 64 << 10
-	}
-	if opts.GroupInterval <= 0 {
-		opts.GroupInterval = 2 * time.Millisecond
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 500 * time.Millisecond
@@ -507,13 +484,13 @@ func (e *Engine) recover() error {
 		}
 	}
 
-	// 7. Hand each recovered meter its ingest state for live sessions,
-	// including the sequence high-water mark the next session's handshake
-	// ack will carry.
+	// 7. Hand each recovered meter's sequence high-water mark — the highest
+	// seq its checkpoint and records carry, skipped batches included — to
+	// the store, where the next session's handshake ack reads it.
 	for i := range logs {
 		for m, mr := range logs[i].meters {
-			if tl := mr.tables; len(tl) > 0 {
-				e.meters.Store(m, &meterMeta{tables: tl, level: tl[len(tl)-1].Level(), seq: mr.seq})
+			if len(mr.tables) > 0 {
+				e.store.RestoreSeq(m, mr.seq)
 				e.recovered.Meters++
 			}
 		}
@@ -889,7 +866,7 @@ func (e *Engine) SealedBlock(meterID uint64, blk server.SealedBlock) ([]byte, er
 	return blk.Payload, nil
 }
 
-// --- sessions (server.Ingest) and unsequenced in-process writes ----------
+// --- sessions and sequenced writes (server.Ingest) ----------------------
 
 // ErrClosed reports writes after Close.
 var ErrClosed = errors.New("storage: engine closed")
@@ -913,118 +890,28 @@ func (e *Engine) EndSession(meterID uint64) { e.store.EndSession(meterID) }
 // Reserve delegates to the store.
 func (e *Engine) Reserve(meterID uint64, n int) error { return e.store.Reserve(meterID, n) }
 
-// PushTable logs the table, then commits it. The WAL write happens first —
-// recovery must know the table that decodes every logged batch.
-func (e *Engine) PushTable(meterID uint64, t *symbolic.Table) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if r := e.health.refuse.Load(); r != nil {
-		return r.err
-	}
-	if _, ok := e.store.Meter(meterID); !ok {
-		return fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-	}
-	shard := e.store.ShardFor(meterID)
-	defer e.checkpointIfDue(shard)
-	e.gates[shard].mu.RLock()
-	defer e.gates[shard].mu.RUnlock()
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendTable(meterID, t)
-	}); err != nil {
-		return err
-	}
-	if err := e.store.PushTable(meterID, t); err != nil {
-		return err
-	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{})
-	mm := v.(*meterMeta)
-	mm.tables = append(mm.tables, t)
-	mm.level = t.Level()
-	return nil
-}
+// LastSeq reports the meter's committed sequence high-water mark, which
+// the store owns — 0 when the meter is unknown or all of its history
+// predates sequencing.
+func (e *Engine) LastSeq(meterID uint64) uint64 { return e.store.LastSeq(meterID) }
 
-// Append validates the batch against the meter's current table, logs it,
-// waits for durability per the sync mode, then commits it to the store. The
-// validation runs before the log write so a rejected batch never poisons
-// the WAL — replay must be able to re-apply every logged record.
-func (e *Engine) Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error) {
-	if e.closed.Load() {
-		return 0, ErrClosed
-	}
-	if r := e.health.refuse.Load(); r != nil {
-		return 0, r.err
-	}
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		if _, exists := e.store.Meter(meterID); !exists {
-			return 0, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-		}
-		return 0, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
-	}
-	if len(pts) == 0 {
-		return 0, nil
-	}
-	mm := v.(*meterMeta)
-	for i := range pts {
-		if pts[i].S.Level() != mm.level {
-			return 0, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				server.ErrBadSymbol, i, pts[i].S.Level(), mm.level)
-		}
-	}
-	shard := e.store.ShardFor(meterID)
-	defer e.checkpointIfDue(shard)
-	e.gates[shard].mu.RLock()
-	defer e.gates[shard].mu.RUnlock()
-	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatch(meterID, uint32(mm.epoch()), mm.level, pts)
-	}); err != nil {
-		return 0, err
-	}
-	return e.store.Append(meterID, pts)
-}
-
-// --- sequenced writes (server.Ingest) ------------------------------------
-
-// LastSeq reports the meter's committed sequence high-water mark — 0 when
-// the meter is unknown or all of its history predates sequencing. Called by
-// the meter's session goroutine at handshake; visibility of the previous
-// session's final advance rides the store's shard lock.
-func (e *Engine) LastSeq(meterID uint64) uint64 {
-	if v, ok := e.meters.Load(meterID); ok {
-		return v.(*meterMeta).seq
-	}
-	return 0
-}
-
-// seqCheck applies the dense-sequence rule against the meter's high-water
-// mark: at-or-below is a duplicate (suppressed but acked — the data is
-// already durable), exactly hwm+1 commits, anything else is a gap the
-// session must not paper over.
-func seqCheck(cur, seq uint64, meterID uint64) (dup bool, err error) {
-	if seq <= cur {
-		return true, nil
-	}
-	if seq != cur+1 {
-		return false, fmt.Errorf("%w: meter %d got seq %d, high-water mark %d", server.ErrSeqGap, meterID, seq, cur)
-	}
-	return false, nil
-}
-
-// PushTableSeq is PushTable under a session sequence number: duplicates are
-// suppressed without touching the log, gaps refuse, and the WAL record
-// carries the seq so recovery restores the high-water mark. The duplicate
-// check runs before the degraded-refusal check on purpose — acking an
-// already-durable batch is truthful even when the engine cannot accept new
-// writes.
+// PushTableSeq logs and commits a table push under a session sequence
+// number, in the three steps every sequenced write takes. The store admits
+// it — unknown meter, missing table, duplicate or gap, and for a batch its
+// emptiness and symbol levels — so a rejected write never reaches the log:
+// replay must be able to re-apply every logged record. The record is
+// logged with its seq, which is how recovery restores the high-water mark;
+// for a table it must precede every batch the table decodes. Then the
+// store commits it and advances the mark, only once the whole write is in,
+// so a refused or failed write stays retryable under the same seq. A
+// duplicate is acked before the degraded refusal is checked on purpose:
+// acking an already-durable write is truthful even when the engine cannot
+// accept new ones.
 func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, error) {
 	if e.closed.Load() {
 		return false, ErrClosed
 	}
-	if _, ok := e.store.Meter(meterID); !ok {
-		return false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-	}
-	if dup, err := seqCheck(e.LastSeq(meterID), seq, meterID); dup || err != nil {
+	if dup, err := e.store.AdmitTable(meterID, seq); dup || err != nil {
 		return dup, err
 	}
 	if r := e.health.refuse.Load(); r != nil {
@@ -1039,63 +926,32 @@ func (e *Engine) PushTableSeq(meterID, seq uint64, t *symbolic.Table) (bool, err
 	}); err != nil {
 		return false, err
 	}
-	if err := e.store.PushTable(meterID, t); err != nil {
-		return false, err
-	}
-	v, _ := e.meters.LoadOrStore(meterID, &meterMeta{})
-	mm := v.(*meterMeta)
-	mm.tables = append(mm.tables, t)
-	mm.level = t.Level()
-	mm.seq = seq
-	return false, nil
+	return false, e.store.CommitTable(meterID, seq, t)
 }
 
-// AppendSeq is Append under a session sequence number. The high-water mark
-// advances only after the whole batch commits to the store, so a refused or
-// failed batch stays retryable under the same seq. Empty sequenced batches
-// are refused outright: they would have to be durable for the mark to
-// survive recovery, and the WAL batch encoding (correctly) has no empty
-// form — the client never sends them.
+// AppendSeq is PushTableSeq for a symbol batch; the log write waits for
+// durability per the sync mode before the store commits.
 func (e *Engine) AppendSeq(meterID, seq uint64, pts []symbolic.SymbolPoint) (int, bool, error) {
 	if e.closed.Load() {
 		return 0, false, ErrClosed
 	}
-	v, ok := e.meters.Load(meterID)
-	if !ok {
-		if _, exists := e.store.Meter(meterID); !exists {
-			return 0, false, fmt.Errorf("%w: %d", server.ErrUnknownMeter, meterID)
-		}
-		return 0, false, fmt.Errorf("%w: %d", server.ErrNoTable, meterID)
-	}
-	mm := v.(*meterMeta)
-	if dup, err := seqCheck(mm.seq, seq, meterID); dup || err != nil {
+	epoch, level, dup, err := e.store.AdmitAppend(meterID, seq, pts)
+	if dup || err != nil {
 		return 0, dup, err
-	}
-	if len(pts) == 0 {
-		return 0, false, fmt.Errorf("storage: meter %d: empty sequenced batch (seq %d)", meterID, seq)
 	}
 	if r := e.health.refuse.Load(); r != nil {
 		return 0, false, r.err
-	}
-	for i := range pts {
-		if pts[i].S.Level() != mm.level {
-			return 0, false, fmt.Errorf("%w: point %d has level %d, table has level %d",
-				server.ErrBadSymbol, i, pts[i].S.Level(), mm.level)
-		}
 	}
 	shard := e.store.ShardFor(meterID)
 	defer e.checkpointIfDue(shard)
 	e.gates[shard].mu.RLock()
 	defer e.gates[shard].mu.RUnlock()
 	if _, err := e.walAppend(shard, func(w *wal) (int64, error) {
-		return w.appendBatchSeq(meterID, seq, uint32(mm.epoch()), mm.level, pts)
+		return w.appendBatchSeq(meterID, seq, epoch, level, pts)
 	}); err != nil {
 		return 0, false, err
 	}
-	n, err := e.store.Append(meterID, pts)
-	if err == nil {
-		mm.seq = seq
-	}
+	n, err := e.store.CommitAppend(meterID, seq, pts)
 	return n, false, err
 }
 
@@ -1285,21 +1141,20 @@ func (e *Engine) checkpoint(shards []int) error {
 }
 
 // encodeCheckpoint builds the shard's checkpoint: one 'C' record per meter
-// with a table, carrying the blocks after the points the shard's segments
-// cover. The caller holds the shard's gate exclusively, so the store, the
-// meters' ingest state and the covered counts agree with each other and
-// with the logs the checkpoint replaces.
+// with a table, carrying its table history and high-water mark from the
+// store and the blocks after the points the shard's segments cover. The
+// caller holds the shard's gate exclusively, so the store and the covered
+// counts agree with each other and with the logs the checkpoint replaces.
 func (e *Engine) encodeCheckpoint(shard int) ([]byte, error) {
 	covered := e.segs[shard].covered
 	var buf []byte
 	var views []server.BlockView
 	for _, m := range e.store.ShardMeters(shard) {
-		v, ok := e.meters.Load(m.ID())
-		if !ok {
+		tables, seq := m.IngestState()
+		if len(tables) == 0 {
 			continue // no table yet: nothing of the meter is durable
 		}
-		mm := v.(*meterMeta)
-		ck := checkpoint{meterID: m.ID(), seq: mm.seq, covered: covered[m.ID()], tables: mm.tables}
+		ck := checkpoint{meterID: m.ID(), seq: seq, covered: covered[m.ID()], tables: tables}
 		var tail *ckptBlock
 		views = m.CollectRange(math.MinInt64, math.MaxInt64, views[:0], func(bv server.BlockView) {
 			b := blockOf(bv)
@@ -1508,7 +1363,7 @@ func (e *Engine) addSegment(ms manifestSegment) error {
 // it the moment it happens.
 func (e *Engine) groupSync() {
 	defer e.syncWG.Done()
-	t := time.NewTicker(e.opts.GroupInterval)
+	t := time.NewTicker(groupSyncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -104,6 +104,10 @@ read:
 		if k < lastAck+1 {
 			t.Fatalf("meter %d recovered %d batches, but %d rounds were acknowledged", m, k, lastAck+1)
 		}
+		// The high-water mark comes back with them: the table took seq 1.
+		if got := eng.LastSeq(m); got != uint64(1+k) {
+			t.Fatalf("meter %d recovered %d batches at LastSeq %d, want %d", m, k, got, 1+k)
+		}
 		// Bit-exact equivalence against an oracle fed exactly those batches.
 		want := server.NewStore(4)
 		if err := want.StartSession(m); err != nil {
@@ -163,14 +167,14 @@ func killChild() {
 			fmt.Fprintln(os.Stderr, "child session:", err)
 			os.Exit(2)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if _, err := eng.PushTableSeq(m, 1, table); err != nil {
 			fmt.Fprintln(os.Stderr, "child table:", err)
 			os.Exit(2)
 		}
 	}
 	for idx := 0; ; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, _, err := eng.AppendSeq(m, uint64(2+idx), genBatch(m, idx, table)); err != nil {
 				fmt.Fprintln(os.Stderr, "child append:", err)
 				os.Exit(2)
 			}

@@ -122,9 +122,7 @@ func TestSegmentCoveredHighWaterMark(t *testing.T) {
 				}
 			}
 			if tc.legacyAfter {
-				if _, err := eng.Append(m, pts(tc.n)[:1]); err != nil {
-					t.Fatal(err)
-				}
+				AppendLegacy(t, eng, m, pts(tc.n)[:1])
 			}
 			last := uint64(1 + tc.n)
 			// The log records the case relies on: its table push, its

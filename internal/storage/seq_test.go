@@ -8,14 +8,19 @@ package storage_test
 
 import (
 	"errors"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"symmeter/internal/server"
 	"symmeter/internal/storage"
+	"symmeter/internal/symbolic"
+	"symmeter/internal/transport"
 )
 
 // TestSequencedAppendRecoversHighWaterMark: sequenced commits survive a
@@ -41,10 +46,13 @@ func TestSequencedAppendRecoversHighWaterMark(t *testing.T) {
 	if got := eng.LastSeq(1); got != 4 {
 		t.Fatalf("live LastSeq: %d, want 4", got)
 	}
-	startMeters(t, eng, table, []uint64{2}) // legacy meter, no seqs
-	if _, err := eng.Append(2, chaosBatch(2, 0, table)); err != nil {
+	// A legacy meter: unsequenced records, as engines logged them before
+	// ingest was sequenced.
+	if err := eng.StartSession(2); err != nil {
 		t.Fatal(err)
 	}
+	storage.PushLegacy(t, eng, 2, table)
+	storage.AppendLegacy(t, eng, 2, chaosBatch(2, 0, table))
 	eng.Abandon() // crash shape
 
 	re := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
@@ -177,4 +185,136 @@ func TestFormat2ManifestMigrates(t *testing.T) {
 	}
 	requireStoresEqual(t, re.Store(),
 		buildOracle(t, table, []uint64{1}, map[uint64][]int{1: {0}}), []uint64{1})
+}
+
+// TestSequencedLastSeqIsTheStores: the store owns each meter's high-water
+// mark, so the engine's LastSeq and the store's agree — after live
+// sequenced writes, after a clean restart and after a crash.
+func TestSequencedLastSeqIsTheStores(t *testing.T) {
+	dir := t.TempDir()
+	table := chaosTable(t)
+	check := func(eng *storage.Engine, when string, want uint64) {
+		t.Helper()
+		for _, m := range chaosMeters {
+			if got, st := eng.LastSeq(m), eng.Store().LastSeq(m); got != want || st != want {
+				t.Fatalf("%s: meter %d: engine LastSeq %d, store LastSeq %d, want %d", when, m, got, st, want)
+			}
+		}
+	}
+	acked := map[uint64][]int{}
+	write := func(eng *storage.Engine, from, to int) {
+		t.Helper()
+		for idx := from; idx < to; idx++ {
+			for _, m := range chaosMeters {
+				if _, _, err := eng.AppendSeq(m, uint64(2+idx), chaosBatch(m, idx, table)); err != nil {
+					t.Fatal(err)
+				}
+				acked[m] = append(acked[m], idx)
+			}
+		}
+	}
+	eng := chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+	startMeters(t, eng, table, chaosMeters)
+	write(eng, 0, 10)
+	check(eng, "live", 11)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng = chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+	check(eng, "after Close and Open", 11)
+	write(eng, 10, 15)
+	eng.Abandon()
+
+	eng = chaosOpen(t, dir, nil, storage.SyncOff, time.Hour)
+	defer eng.Close()
+	check(eng, "after Abandon and Open", 16)
+	requireStoresEqual(t, eng.Store(), buildOracle(t, table, chaosMeters, acked), chaosMeters)
+}
+
+// TestSequencedEmptyBatchRefusedLikeInMemory sends an empty 'D' frame over
+// the wire to an in-memory service and to a durable one. The store's one
+// sequence rule answers both: the session ends with ErrEmptyBatch, nothing
+// is acked after the table, and the high-water mark stays at the table's
+// seq.
+func TestSequencedEmptyBatchRefusedLikeInMemory(t *testing.T) {
+	table := chaosTable(t)
+	eng := chaosOpen(t, t.TempDir(), nil, storage.SyncOff, time.Hour)
+	defer eng.Close()
+	durable := server.New(server.Config{Store: eng.Store()})
+	durable.SetIngest(eng)
+	services := map[string]*server.Service{"in-memory": server.New(server.Config{Shards: 4}), "durable": durable}
+
+	var outcomes [][]uint64
+	for _, name := range []string{"in-memory", "durable"} {
+		svc := services[name]
+		addr, err := svc.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks := emptyBatchSession(t, addr, table)
+		svc.Close()
+		errs := svc.SessionErrors()
+		if len(errs) != 1 || !errors.Is(errs[0], server.ErrEmptyBatch) {
+			t.Fatalf("%s: session errors %v, want one ErrEmptyBatch", name, errs)
+		}
+		if got := svc.Store().LastSeq(7); got != 1 {
+			t.Fatalf("%s: high-water mark %d after the empty batch, want 1", name, got)
+		}
+		outcomes = append(outcomes, acks)
+	}
+	if got := eng.LastSeq(7); got != 1 {
+		t.Fatalf("durable engine LastSeq %d, want 1", got)
+	}
+	if !slices.Equal(outcomes[0], outcomes[1]) || !slices.Equal(outcomes[0], []uint64{0, 1}) {
+		t.Fatalf("acks in-memory %v, durable %v; want [0 1] from both", outcomes[0], outcomes[1])
+	}
+}
+
+// emptyBatchSession runs one raw ingest session for meter 7 — handshake,
+// the table under seq 1, then a 'D' frame of no symbols under seq 2 — and
+// returns the acks the server sent before it closed the connection.
+func emptyBatchSession(t *testing.T, addr net.Addr, table *symbolic.Table) []uint64 {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := transport.WriteHandshake(conn, 7); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := transport.AppendSeqSymbolFrame(nil, 2, 0, 900, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := transport.NewFrameReader(conn)
+	var acks []uint64
+	readAck := func() bool {
+		typ, payload, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return false
+		}
+		if err != nil || typ != transport.FrameAck {
+			t.Fatalf("reply %q: %v", typ, err)
+		}
+		seq, err := transport.DecodeAck(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks = append(acks, seq)
+		return true
+	}
+	readAck() // the handshake reply: the meter's high-water mark
+	if _, err := conn.Write(transport.AppendSeqTableFrame(nil, 1, table)); err != nil {
+		t.Fatal(err)
+	}
+	readAck()
+	if _, err := conn.Write(empty); err != nil {
+		t.Fatal(err)
+	}
+	for readAck() {
+	}
+	return acks
 }

@@ -51,19 +51,11 @@ func genBatch(meterID uint64, idx int, table *symbolic.Table) []symbolic.SymbolP
 	return pts
 }
 
-// plainIngest is the unsequenced write surface both *server.Store and
-// *Engine offer in-process loaders.
-type plainIngest interface {
-	StartSession(meterID uint64) error
-	EndSession(meterID uint64)
-	PushTable(meterID uint64, t *symbolic.Table) error
-	Append(meterID uint64, pts []symbolic.SymbolPoint) (int, error)
-}
-
-// applyBatches drives ing with nBatches per meter, interleaved across
-// meters like concurrent sessions would.
-func applyBatches(t testing.TB, ing plainIngest, table *symbolic.Table, meters []uint64, nBatches int) {
+// applyBatches drives ing with nBatches per meter, sequenced and
+// interleaved across meters like concurrent sessions would.
+func applyBatches(t testing.TB, si server.Ingest, table *symbolic.Table, meters []uint64, nBatches int) {
 	t.Helper()
+	ing := Sequenced{si}
 	for _, m := range meters {
 		if err := ing.StartSession(m); err != nil {
 			t.Fatal(err)
@@ -201,13 +193,13 @@ func TestRecoverAfterFlushThenMoreWrites(t *testing.T) {
 	// Keep writing after the checkpoint: a second epoch plus more batches.
 	table2 := testTable(t)
 	for _, m := range testMeters {
-		if err := eng.PushTable(m, table2); err != nil {
+		if err := (Sequenced{eng}).PushTable(m, table2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for idx := 25; idx < 40; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng.Append(m, genBatch(m, idx, table2)); err != nil {
+			if _, err := (Sequenced{eng}).Append(m, genBatch(m, idx, table2)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,7 +251,7 @@ func TestRecoverTwiceAccumulates(t *testing.T) {
 	eng2 := openTest(t, dir, SyncOff)
 	for idx := 20; idx < 40; idx++ {
 		for _, m := range testMeters {
-			if _, err := eng2.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := (Sequenced{eng2}).Append(m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -391,7 +383,7 @@ func TestSegmentFooterRunningTotal(t *testing.T) {
 		if err := eng.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PushTable(m, table); err != nil {
+		if err := (Sequenced{eng}).PushTable(m, table); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,7 +408,7 @@ func TestSegmentFooterRunningTotal(t *testing.T) {
 			flushed = true
 		}
 		for m, table := range meters {
-			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+			if _, err := (Sequenced{eng}).Append(m, genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("segment %d, batch %d", sw.seq, idx))

@@ -14,10 +14,10 @@ import (
 
 // Per-shard write-ahead log.
 //
-// Every table push and every Store.Append batch is framed into the shard's
-// log before it commits to the in-memory store, so the log's record sequence
-// is, per meter, exactly the ingest history — replaying it through the
-// normal Append path rebuilds byte-identical block chains. Records from
+// Every table push and every batch a session commits is framed into the
+// shard's log before it commits to the in-memory store, so the log's record
+// sequence is, per meter, exactly the ingest history — replaying it through
+// the normal Append path rebuilds byte-identical block chains. Records from
 // different meters of one shard interleave in commit order, which is
 // irrelevant to recovery (records carry their meter ID and each meter's
 // subsequence is totally ordered by its single session).
@@ -48,13 +48,16 @@ import (
 // probe and confirms a candidate only if its CRC also matches, so random
 // damage cannot fake a successor record (probability ~2^-64 per offset).
 //
-// Record types:
+// Record types ('T' and 'B' are read-only legacy records: format ≤ 2
+// directories hold them, nothing writes them any more):
 //
-//	'T': meterID(uint64) | symbolic.MarshalTable bytes
+//	'T': meterID(uint64) | symbolic.MarshalTable bytes — an unsequenced
+//	     table push
 //	'B': meterID(uint64) | epoch(uint32) | level(uint8) | kind(uint8) |
 //	     count(uint32) | timestamps | packed symbols (headerless, MSB-first)
 //	     kind 0 (arithmetic): timestamps = firstT(int64) | stride(int64)
 //	     kind 1 (explicit):   timestamps = count × int64
+//	     — an unsequenced batch
 //	't': seq(uint64) | 'T' body — a table push committed under a session
 //	     sequence number (manifest format ≥ 3)
 //	'b': seq(uint64) | 'B' body — a batch committed under a session
@@ -71,13 +74,13 @@ import (
 //
 // Batches off the wire are arithmetic in practice (the transport already
 // reconstructs firstT + i·window), so kind 0 — 16 bytes for any batch — is
-// the hot encoding; kind 1 keeps the log lossless for arbitrary Append
-// callers. The sequenced variants exist for exactly-once ingest: recovery
-// restores each meter's sequence high-water mark as the max seq across every
-// replayed record, so a reconnecting client learns which batches survived
-// the crash and replays only the rest. A checkpoint stands in for every
-// record of its meter that came before it, which is what lets a rotation
-// unlink the older generations.
+// the hot encoding; kind 1 keeps the log lossless for any timestamps. The
+// seq is what makes ingest exactly-once: recovery restores each meter's
+// sequence high-water mark as the max seq across every replayed record
+// (0 for a meter with legacy records only), so a reconnecting client learns
+// which batches survived the crash and replays only the rest. A checkpoint
+// stands in for every record of its meter that came before it, which is
+// what lets a rotation unlink the older generations.
 const (
 	walHeaderLen  = 12
 	recTable      = 'T'
@@ -214,57 +217,49 @@ func frameRecordAt(rec []byte) {
 // writeLocked fills in, keeping assembly append-only and allocation-free.
 var walHdrZero [walHeaderLen]byte
 
-// appendTable logs a table push.
-func (w *wal) appendTable(meterID uint64, t *symbolic.Table) (int64, error) {
-	return w.appendTableRec(recTable, 0, meterID, t)
+// begin starts a record of type typ under seq in w.buf: the header
+// placeholder writeLocked fills in, the type byte and the seq. Called with
+// w.mu held.
+func (w *wal) begin(typ byte, seq uint64) []byte {
+	buf := append(w.buf[:0], walHdrZero[:]...)
+	buf = append(buf, typ)
+	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
 // appendTableSeq logs a table push committed under a session sequence number.
 func (w *wal) appendTableSeq(meterID, seq uint64, t *symbolic.Table) (int64, error) {
-	return w.appendTableRec(recSeqTable, seq, meterID, t)
-}
-
-func (w *wal) appendTableRec(typ byte, seq, meterID uint64, t *symbolic.Table) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf := append(w.buf[:0], walHdrZero[:]...)
-	buf = append(buf, typ)
-	if typ == recSeqTable {
-		buf = binary.BigEndian.AppendUint64(buf, seq)
-	}
-	buf = binary.BigEndian.AppendUint64(buf, meterID)
-	buf = append(buf, symbolic.MarshalTable(t)...)
-	w.buf = buf
-	return w.writeLocked(buf)
-}
-
-// appendBatch logs one Append batch under the meter's current epoch.
-func (w *wal) appendBatch(meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
-	return w.appendBatchRec(recBatch, 0, meterID, epoch, level, pts)
+	w.buf = appendTableBody(w.begin(recSeqTable, seq), meterID, t)
+	return w.writeLocked(w.buf)
 }
 
 // appendBatchSeq logs one batch committed under a session sequence number.
 func (w *wal) appendBatchSeq(meterID, seq uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
-	return w.appendBatchRec(recSeqBatch, seq, meterID, epoch, level, pts)
-}
-
-func (w *wal) appendBatchRec(typ byte, seq, meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	buf := append(w.buf[:0], walHdrZero[:]...)
-	buf = append(buf, typ)
-	if typ == recSeqBatch {
-		buf = binary.BigEndian.AppendUint64(buf, seq)
-	}
-	buf = binary.BigEndian.AppendUint64(buf, meterID)
-	buf = binary.BigEndian.AppendUint32(buf, epoch)
-	buf = append(buf, byte(level))
+	w.buf = appendBatchBody(w.begin(recSeqBatch, seq), meterID, epoch, level, pts)
+	return w.writeLocked(w.buf)
+}
+
+// appendTableBody appends a 'T' record's payload.
+func appendTableBody(dst []byte, meterID uint64, t *symbolic.Table) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, meterID)
+	return append(dst, symbolic.MarshalTable(t)...)
+}
+
+// appendBatchBody appends a 'B' record's payload: the batch under the
+// meter's epoch at level, arithmetic timestamps when they are.
+func appendBatchBody(dst []byte, meterID uint64, epoch uint32, level int, pts []symbolic.SymbolPoint) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, meterID)
+	dst = binary.BigEndian.AppendUint32(dst, epoch)
+	dst = append(dst, byte(level))
 	kind := byte(0)
 	if !arithmetic(pts) {
 		kind = 1
 	}
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(pts)))
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(pts)))
 	if kind == 0 {
 		var firstT, stride int64
 		if len(pts) > 0 {
@@ -273,16 +268,14 @@ func (w *wal) appendBatchRec(typ byte, seq, meterID uint64, epoch uint32, level 
 		if len(pts) > 1 {
 			stride = pts[1].T - pts[0].T
 		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(firstT))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(stride))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(firstT))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(stride))
 	} else {
 		for i := range pts {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(pts[i].T))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(pts[i].T))
 		}
 	}
-	buf = appendPackedPoints(buf, pts, level)
-	w.buf = buf
-	return w.writeLocked(buf)
+	return appendPackedPoints(dst, pts, level)
 }
 
 // arithmetic reports whether the batch timestamps form one arithmetic

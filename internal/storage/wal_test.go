@@ -14,34 +14,45 @@ import (
 	"symmeter/internal/symbolic"
 )
 
-// buildWALFixture produces one shard's log bytes through the real engine:
-// two meters, a table epoch change half-way, gaps, and enough batches for
-// several records — the corpus every torn-write and fuzz case mutates.
+// buildWALFixture produces one shard's log bytes: two meters whose first
+// batches are legacy unsequenced records, as a format-2 binary left them,
+// continued through the real engine by sequenced sessions — with a table
+// epoch change half-way, gaps, and enough batches for several records. It
+// is the corpus every torn-write and fuzz case mutates.
 func buildWALFixture(t testing.TB) []byte {
 	t.Helper()
-	dir := t.TempDir()
 	table := testTable(t)
+	meters := []uint64{1, 2}
+	var legacy []byte
+	for _, m := range meters {
+		legacy = append(legacy, legacyTable(m, table)...)
+	}
+	for idx := 0; idx < 3; idx++ {
+		for _, m := range meters {
+			legacy = append(legacy, legacyBatch(m, 0, table.Level(), genBatch(m, idx, table))...)
+		}
+	}
+	dir := walDir(t, legacy)
 	eng, err := Open(Options{Dir: dir, Shards: 1, Sync: SyncOff, SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	meters := []uint64{1, 2}
 	for _, m := range meters {
 		if err := eng.StartSession(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.PushTable(m, table); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for idx := 0; idx < 8; idx++ {
+	seq := map[uint64]uint64{}
+	for idx := 3; idx < 8; idx++ {
 		if idx == 5 {
-			if err := eng.PushTable(1, table); err != nil { // epoch change
+			seq[1]++
+			if _, err := eng.PushTableSeq(1, seq[1], table); err != nil { // epoch change
 				t.Fatal(err)
 			}
 		}
 		for _, m := range meters {
-			if _, err := eng.Append(m, genBatch(m, idx, table)); err != nil {
+			seq[m]++
+			if _, _, err := eng.AppendSeq(m, seq[m], genBatch(m, idx, table)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -94,9 +105,13 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 		}
 	}
 	for _, rec := range recs[:upto] {
-		switch rec.typ {
+		typ, _, data, err := stripSeq(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
 		case recTable:
-			m, tbl, err := decodeTable(rec.data)
+			m, tbl, err := decodeTable(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +120,7 @@ func applyRecords(t testing.TB, recs []walRecord, upto int) *server.Store {
 				t.Fatal(err)
 			}
 		case recBatch:
-			br, p, s, err := decodeBatch(rec.data, pts, syms)
+			br, p, s, err := decodeBatch(data, pts, syms)
 			pts, syms = p, s
 			if err != nil {
 				t.Fatal(err)
@@ -231,12 +246,12 @@ func TestCorruptWALFailsLoudly(t *testing.T) {
 	}
 }
 
-// FuzzWALReplay mutates (truncate + single byte-flip) the fixture log and
-// asserts the recovery contract: either recovery fails loudly, or the
-// recovered state is bit-exactly some record prefix of the original log that
-// includes every record lying wholly before the first damaged byte. Silently
-// dropping acknowledged records that sit before the damage — or fabricating
-// state — fails the fuzz.
+// FuzzWALReplay mutates (truncate + single byte-flip) the fixture log — its
+// legacy and sequenced records alike — and asserts the recovery contract:
+// either recovery fails loudly, or the recovered state is bit-exactly some
+// record prefix of the original log that includes every record lying wholly
+// before the first damaged byte. Silently dropping acknowledged records that
+// sit before the damage — or fabricating state — fails the fuzz.
 func FuzzWALReplay(f *testing.F) {
 	raw := buildWALFixture(f)
 	recs, _, _, err := parseWAL(raw)
